@@ -18,11 +18,77 @@ let candidate_links model ~congested_paths ~good_paths =
   done;
   Array.of_list !acc
 
-let infer_independence ?(include_likely = true) model ~marginals
-    ~congested_paths ~good_paths =
-  let candidates = candidate_links model ~congested_paths ~good_paths in
-  let solution = Bitset.create model.Model.n_links in
-  let uncovered = Bitset.copy congested_paths in
+(* Cover bookkeeping for one interval's greedy seed, prune and
+   hill-climb.  Candidates are addressed by their index [i] in the
+   ascending candidate array; [cpaths.(i)] lists the congested paths
+   through candidate [i].  [hits.(p)] counts the solution links on
+   congested path [p] and [bare] the congested paths with none, so "is
+   the solution still a cover without [i]?" reads only [i]'s paths. *)
+type cover = {
+  candidates : int array;
+  cpaths : int array array;
+  solution : Bitset.t;
+  hits : int array;
+  mutable bare : int;
+}
+
+let make_cover model ~candidates ~congested_paths =
+  let cpaths =
+    Array.map
+      (fun e ->
+        Array.of_list
+          (Bitset.to_list
+             (Bitset.inter model.Model.link_paths.(e) congested_paths)))
+      candidates
+  in
+  {
+    candidates;
+    cpaths;
+    solution = Bitset.create model.Model.n_links;
+    hits = Array.make model.Model.n_paths 0;
+    bare = Bitset.count congested_paths;
+  }
+
+(* [add cv ~on_cover i] puts candidate [i] in the solution; [on_cover p]
+   runs for every congested path [p] it covers for the first time. *)
+let add ?(on_cover = ignore) cv i =
+  Bitset.set cv.solution cv.candidates.(i);
+  Array.iter
+    (fun p ->
+      if cv.hits.(p) = 0 then begin
+        cv.bare <- cv.bare - 1;
+        on_cover p
+      end;
+      cv.hits.(p) <- cv.hits.(p) + 1)
+    cv.cpaths.(i)
+
+let remove cv i =
+  Bitset.clear cv.solution cv.candidates.(i);
+  Array.iter
+    (fun p ->
+      cv.hits.(p) <- cv.hits.(p) - 1;
+      if cv.hits.(p) = 0 then cv.bare <- cv.bare + 1)
+    cv.cpaths.(i)
+
+(* Every congested path keeps a solution link once [i] is dropped. *)
+let removable cv i =
+  cv.bare = 0 && Array.for_all (fun p -> cv.hits.(p) >= 2) cv.cpaths.(i)
+
+let greedy_cover ~include_likely model ~marginals ~candidates
+    ~congested_paths =
+  let cv = make_cover model ~candidates ~congested_paths in
+  let n = Array.length candidates in
+  (* Per candidate: congested paths it would newly cover. Covering a
+     path takes one off the count of every candidate on it, so solution
+     members are at 0. *)
+  let fresh = Array.map Array.length cv.cpaths in
+  let path_cands = Array.make model.Model.n_paths [] in
+  for i = n - 1 downto 0 do
+    Array.iter (fun p -> path_cands.(p) <- i :: path_cands.(p)) cv.cpaths.(i)
+  done;
+  let on_cover p =
+    List.iter (fun j -> fresh.(j) <- fresh.(j) - 1) path_cands.(p)
+  in
   (* MAP under independence: a consistent link with p > 1/2 raises the
      posterior whether or not it covers anything new, so CLINK's optimum
      includes it. This is exactly where wrong marginals (correlated
@@ -30,64 +96,57 @@ let infer_independence ?(include_likely = true) model ~marginals
      positives. The correlation-aware variant seeds without this rule
      and lets the joint-probability hill-climb decide instead. *)
   if include_likely then
-    Array.iter
-      (fun e ->
-        if clamp_p marginals.(e) > 0.5 then begin
-          Bitset.set solution e;
-          Bitset.diff_into ~into:uncovered model.Model.link_paths.(e)
-        end)
+    Array.iteri
+      (fun i e -> if clamp_p marginals.(e) > 0.5 then add ~on_cover cv i)
       candidates;
   (* Greedy weighted cover: cost log((1-p)/p) per link (clamped to a
      small positive value for p >= 1/2, so near-certain links are picked
      first), benefit = newly covered congested paths. *)
-  let continue_ = ref true in
-  while !continue_ && not (Bitset.is_empty uncovered) do
-    let best = ref (-1) and best_ratio = ref neg_infinity in
-    Array.iter
+  let cost =
+    Array.map
       (fun e ->
-        if not (Bitset.get solution e) then begin
-          let cover =
-            Bitset.count_inter model.Model.link_paths.(e) uncovered
-          in
-          if cover > 0 then begin
-            let p = clamp_p marginals.(e) in
-            let cost = max 1e-9 (log ((1.0 -. p) /. p)) in
-            let ratio = float_of_int cover /. cost in
-            if ratio > !best_ratio then begin
-              best := e;
-              best_ratio := ratio
-            end
-          end
-        end)
-      candidates;
-    if !best < 0 then continue_ := false
-    else begin
-      Bitset.set solution !best;
-      Bitset.diff_into ~into:uncovered model.Model.link_paths.(!best)
-    end
+        let p = clamp_p marginals.(e) in
+        max 1e-9 (log ((1.0 -. p) /. p)))
+      candidates
+  in
+  let continue_ = ref true in
+  while !continue_ && cv.bare > 0 do
+    let best = ref (-1) and best_ratio = ref neg_infinity in
+    for i = 0 to n - 1 do
+      if fresh.(i) > 0 then begin
+        let ratio = float_of_int fresh.(i) /. cost.(i) in
+        if ratio > !best_ratio then begin
+          best := i;
+          best_ratio := ratio
+        end
+      end
+    done;
+    if !best < 0 then continue_ := false else add ~on_cover cv !best
   done;
   (* Prune: drop links made redundant by later picks, most unlikely
      first; each drop strictly improves the likelihood (p < 1/2). *)
-  let members = Bitset.to_list solution in
+  let members =
+    List.filter
+      (fun i ->
+        Bitset.get cv.solution candidates.(i)
+        && clamp_p marginals.(candidates.(i)) <= 0.5)
+      (List.init n Fun.id)
+  in
   let by_cost =
     List.sort
-      (fun a b -> compare marginals.(a) marginals.(b))
-      (List.filter (fun e -> clamp_p marginals.(e) <= 0.5) members)
+      (fun a b ->
+        compare marginals.(candidates.(a)) marginals.(candidates.(b)))
+      members
   in
-  List.iter
-    (fun e ->
-      Bitset.clear solution e;
-      (* Still a cover? Every congested path must retain a solution
-         link. *)
-      let still_covered =
-        Bitset.fold
-          (fun ok p ->
-            ok && not (Bitset.disjoint model.Model.path_links.(p) solution))
-          true congested_paths
-      in
-      if not still_covered then Bitset.set solution e)
-    by_cost;
-  solution
+  List.iter (fun i -> if removable cv i then remove cv i) by_cost;
+  cv
+
+let infer_independence ?(include_likely = true) model ~marginals
+    ~congested_paths ~good_paths =
+  let candidates = candidate_links model ~congested_paths ~good_paths in
+  (greedy_cover ~include_likely model ~marginals ~candidates
+     ~congested_paths)
+    .solution
 
 let effective_of_corr model ~engine c =
   let eff = engine.Prob_engine.selection.Algorithm1.effective in
@@ -119,34 +178,31 @@ let infer_correlation model ~engine ~congested_paths ~good_paths =
   let marginals =
     Array.init model.Model.n_links (Prob_engine.link_marginal engine)
   in
-  let solution =
-    infer_independence ~include_likely:false model ~marginals
-      ~congested_paths ~good_paths
-  in
   let candidates = candidate_links model ~congested_paths ~good_paths in
+  let cv =
+    greedy_cover ~include_likely:false model ~marginals ~candidates
+      ~congested_paths
+  in
+  let solution = cv.solution in
   (* Hill-climb on the correlation-aware likelihood. Only the moved
-     link's correlation set changes, so score deltas are local. *)
-  let contrib =
-    Array.init (Model.n_corr_sets model) (fun c ->
-        corr_logprob model ~engine solution c)
-  in
-  let covers_without e =
-    Bitset.clear solution e;
-    let ok =
-      Bitset.fold
-        (fun ok p ->
-          ok && not (Bitset.disjoint model.Model.path_links.(p) solution))
-        true congested_paths
-    in
-    Bitset.set solution e;
-    ok
-  in
+     link's correlation set changes, so score deltas are local, and only
+     sets holding a candidate are ever scored. *)
+  let contrib = Array.make (Model.n_corr_sets model) 0.0 in
+  let scored = Array.make (Model.n_corr_sets model) false in
+  Array.iter
+    (fun e ->
+      let c = model.Model.corr_of_link.(e) in
+      if not scored.(c) then begin
+        scored.(c) <- true;
+        contrib.(c) <- corr_logprob model ~engine solution c
+      end)
+    candidates;
   let improved = ref true and passes = ref 0 in
   while !improved && !passes < 4 do
     improved := false;
     incr passes;
-    Array.iter
-      (fun e ->
+    Array.iteri
+      (fun i e ->
         let c = model.Model.corr_of_link.(e) in
         let was = Bitset.get solution e in
         (* Removals are always on the table; additions only when driven
@@ -154,7 +210,7 @@ let infer_correlation model ~engine ~congested_paths ~good_paths =
            already blamed — so the independence fallback cannot inflate
            the solution with merely-likely links. *)
         let allowed =
-          if was then covers_without e
+          if was then removable cv i
           else
             Array.exists
               (fun e' -> e' <> e && Bitset.get solution e')
@@ -165,7 +221,8 @@ let infer_correlation model ~engine ~congested_paths ~good_paths =
           let after = corr_logprob model ~engine solution c in
           if after > contrib.(c) +. 1e-12 then begin
             contrib.(c) <- after;
-            improved := true
+            improved := true;
+            if was then remove cv i else add cv i
           end
           else Bitset.assign solution e was
         end)

@@ -14,8 +14,11 @@
       congested path; then prune links made redundant by later picks
       (each removal strictly improves the independence likelihood since
       [p_e < 1/2] in practice).
-    - {b Bayesian-Correlation} (the paper's own [10]): same greedy seed,
-      then hill-climbing over add/remove/swap moves scored by the
+    - {b Bayesian-Correlation} (the paper's own [10]): same greedy seed
+      (without the [p > 1/2] rule), then up to four hill-climbing passes
+      over single-link moves — remove a link if the rest still covers
+      every congested path, add one only if another link of its
+      correlation set is already blamed — each kept if it raises the
       correlation-aware log-likelihood
       [Σ_C log P(pattern of C)] from {!Prob_engine.pattern_logprob}.
 

@@ -5,11 +5,14 @@ module Obs = Tomo_obs
 
 let c_solves = Obs.Metrics.counter "prob_engine_solves"
 
+type memo = float array
+
 type t = {
   selection : Algorithm1.selection;
   values : float array;
   identifiable : bool array;
   obs : Observations.t;
+  memo : memo;
 }
 
 let solve_b (selection : Algorithm1.selection) obs b =
@@ -26,7 +29,9 @@ let solve_b (selection : Algorithm1.selection) obs b =
   let identifiable =
     Array.init n (fun v -> Algorithm1.identifiable selection v)
   in
-  { selection; values; identifiable; obs }
+  (* NaN marks a link whose marginal is not computed yet. *)
+  let memo = Array.make selection.Algorithm1.model.Model.n_links Float.nan in
+  { selection; values; identifiable; obs; memo }
 
 let solve (selection : Algorithm1.selection) obs =
   let b =
@@ -188,10 +193,12 @@ let quotient_good_prob t e =
 
 type fallback = [ `Whole | `Split | `Adaptive ]
 
+let check_link t e =
+  if e < 0 || e >= (model t).Model.n_links then
+    invalid_arg "Prob_engine.link_marginal: link out of range"
+
 let link_marginal_with strategy t e =
-  let m = model t in
-  if e < 0 || e >= m.Model.n_links then
-    invalid_arg "Prob_engine.link_marginal: link out of range";
+  check_link t e;
   if not (Bitset.get (effective t) e) then 0.0
   else
     match smallest_var_containing t e with
@@ -232,8 +239,23 @@ let link_marginal_with strategy t e =
                     clamp01 (1.0 -. exp (t.values.(v) /. k))))
     | None -> 0.0
 
+(* The [`Adaptive] marginal is a pure function of the solved engine, so
+   each link's value is computed once and kept in [t.memo].  Domains may
+   race to fill a slot: both compute and store the same float, and a
+   64-bit float array store cannot tear, so readers see NaN or the
+   value. *)
 let link_marginal ?(chain_split = true) t e =
-  link_marginal_with (if chain_split then `Adaptive else `Whole) t e
+  if not chain_split then link_marginal_with `Whole t e
+  else begin
+    check_link t e;
+    let cached = t.memo.(e) in
+    if Float.is_nan cached then begin
+      let p = link_marginal_with `Adaptive t e in
+      t.memo.(e) <- p;
+      p
+    end
+    else cached
+  end
 
 let link_identifiable t e =
   let m = model t in
@@ -244,12 +266,16 @@ let link_identifiable t e =
     | Some v -> t.identifiable.(v)
     | None -> false
 
+(* Largest set inclusion–exclusion expands: 2^20 good-probability
+   lookups. *)
+let max_exact_links = 20
+
 (* Σ_{A ⊆ set} (−1)^{|A|} G(A ∪ base): the inclusion–exclusion core used
    for both congestion probabilities and pattern probabilities. [get]
    fetches a good-probability or None. *)
 let inclusion_exclusion ~get ~set ~base =
   let k = Array.length set in
-  if k > 20 then invalid_arg "Prob_engine: subset too large";
+  if k > max_exact_links then invalid_arg "Prob_engine: subset too large";
   let total = ref 0.0 in
   (try
      for mask = 0 to (1 lsl k) - 1 do
@@ -308,8 +334,12 @@ let log_floor = log 1e-12
 let pattern_logprob t ~corr ~congested ~good =
   let m = model t in
   let exact =
-    let get ms = good_prob t (Subsets.make m ~corr ms) in
-    inclusion_exclusion ~get ~set:congested ~base:good
+    (* Past the cap the 2^k sum is out of reach; read it like a missing
+       good-probability. *)
+    if Array.length congested > max_exact_links then None
+    else
+      let get ms = good_prob t (Subsets.make m ~corr ms) in
+      inclusion_exclusion ~get ~set:congested ~base:good
   in
   match exact with
   | Some p when p > 0.0 -> max log_floor (log (min 1.0 p))

@@ -13,12 +13,19 @@
     follow by inclusion–exclusion within a correlation set and by
     independence across correlation sets (Assumption 5). *)
 
-type t = {
+(** Per-link cache behind {!link_marginal}. *)
+type memo
+
+(** A solved engine.  The type is private: an engine comes only from
+    {!solve} / {!solve_with_counts}, so its memo always belongs to its
+    own values. *)
+type t = private {
   selection : Algorithm1.selection;
   values : float array;  (** per variable: log good-probability *)
   identifiable : bool array;  (** per variable *)
   obs : Observations.t;
       (** kept for the fallback marginal's observable dependence test *)
+  memo : memo;  (** default-strategy link marginals, filled on demand *)
 }
 
 (** [solve selection obs] estimates every variable of the selected
@@ -61,16 +68,25 @@ type fallback = [ `Whole | `Split | `Adaptive ]
     - for an effective link whose singleton was never expressible (e.g. a
       chain link always observed together with a neighbour), a fallback
       from the smallest registered subset [S] containing it: with
-      [chain_split] (default), the subset's log good-probability is
-      split evenly across its links ([1 − G_S^{1/|S|}] — unbiased for
-      independent-alike chains); without it, the raw subset marginal
-      [1 − G_S] (the cruder rule the Correlation-heuristic baseline
-      uses).  Either way the link is flagged unidentifiable. *)
+      [chain_split] (default) the [`Adaptive] reading of
+      {!link_marginal_with}; without it, the raw subset marginal
+      [1 − G_S] ([`Whole], the cruder rule the Correlation-heuristic
+      baseline uses).  Either way the link is flagged unidentifiable.
+
+    The default reading is memoized per engine: each link's value is
+    computed on first request and kept in [t.memo], so later calls cost
+    an array read.  The memo is filled on demand and is safe for
+    concurrent readers on several domains (a race recomputes and stores
+    the same value).  The result always equals
+    [link_marginal_with `Adaptive t e]; [~chain_split:false] is not
+    cached.
+    @raise Invalid_argument if [e] is not a link of the model. *)
 val link_marginal : ?chain_split:bool -> t -> int -> float
 
 (** [link_marginal_with strategy t e] selects the chain-link fallback
-    explicitly (the ablation knob behind [tomo_cli fallback]);
-    [link_marginal] is [`Adaptive] / [`Whole] via [chain_split]. *)
+    explicitly (the ablation knob behind [tomo_cli fallback]) and is
+    never cached; [link_marginal] is [`Adaptive] / [`Whole] via
+    [chain_split]. *)
 val link_marginal_with : fallback -> t -> int -> float
 
 (** [link_identifiable t e] is [true] iff [link_marginal] returned a
@@ -92,8 +108,9 @@ val set_congestion_prob : t -> int array -> float option
     [log P(∩ congested X=1, ∩ good X=0)] within a correlation set —
     the building block of the Bayesian-Correlation MAP scoring.  Uses
     exact inclusion–exclusion when every needed good-probability is
-    identifiable, otherwise an independence approximation from the link
-    marginals.  The result is clamped to [log 1e-12]. *)
+    identifiable and [congested] has at most 20 links, otherwise an
+    independence approximation from the link marginals.  The result is
+    clamped to [log 1e-12]. *)
 val pattern_logprob :
   t -> corr:int -> congested:int array -> good:int array -> float
 

@@ -831,6 +831,183 @@ let prop_identifiable_good_probs_in_range =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Marginal memo and inference parity                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Pool = Tomo_par.Pool
+module W = Tomo_experiments.Workload
+
+let same_floats a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Memoized [link_marginal] against a fresh engine's uncached
+   [`Adaptive] reading, for every link, read forward, in reverse, a
+   second time, and from two domains racing over the same slots. *)
+let memo_parity sel obs =
+  let n = sel.Algorithm1.model.Model.n_links in
+  let reference =
+    Array.init n
+      (Prob_engine.link_marginal_with `Adaptive (Prob_engine.solve sel obs))
+  in
+  let eng = Prob_engine.solve sel obs in
+  let forward = Array.init n (Prob_engine.link_marginal eng) in
+  let repeated = Array.init n (Prob_engine.link_marginal eng) in
+  let eng = Prob_engine.solve sel obs in
+  let reverse = Array.make n nan in
+  for e = n - 1 downto 0 do
+    reverse.(e) <- Prob_engine.link_marginal eng e
+  done;
+  let eng = Prob_engine.solve sel obs in
+  let pool = Pool.create ~jobs:2 () in
+  let raced =
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    Pool.parallel_map ~pool (Prob_engine.link_marginal eng)
+      (Array.init (2 * n) (fun k -> k mod n))
+  in
+  let after_race = Array.init n (Prob_engine.link_marginal eng) in
+  same_floats reference forward
+  && same_floats reference repeated
+  && same_floats reference reverse
+  && same_floats reference (Array.sub raced 0 n)
+  && same_floats reference (Array.sub raced n n)
+  && same_floats reference after_race
+
+let test_memo_parity_toys () =
+  List.iter
+    (fun (name, m) ->
+      let obs = toy_obs ~t:3000 toy_truth in
+      check_bool name true (memo_parity (Algorithm1.select m obs) obs))
+    [ ("case 1", Toy.case1 ()); ("case 2", Toy.case2 ()) ]
+
+let prop_memo_parity_random =
+  QCheck.Test.make
+    ~name:"memoized link_marginal = uncached Adaptive (random models)"
+    ~count:30 (QCheck.int_range 0 10_000) (fun seed ->
+      let rng = Rng.create (seed + 170_000) in
+      let model = random_model rng in
+      let obs = random_obs rng model ~t:80 in
+      memo_parity (Algorithm1.select model obs) obs)
+
+let medium_workload =
+  lazy
+    (W.prepare
+       (W.spec ~scale:W.Medium ~seed:1 W.Sparse Tomo_netsim.Scenario.Random))
+
+let test_memo_parity_medium () =
+  let w = Lazy.force medium_workload in
+  let sel = Algorithm1.select w.W.model w.W.obs in
+  check_bool "medium Sparse/Random" true (memo_parity sel w.W.obs)
+
+(* The three Bayesian entry points against the test-only reference in
+   [Bayesian_oracle], bit for bit. *)
+let inference_parity model ~engine ~marginals ~congested_paths ~good_paths =
+  let ind include_likely =
+    Bitset.equal
+      (Bayesian.infer_independence ~include_likely model ~marginals
+         ~congested_paths ~good_paths)
+      (Bayesian_oracle.infer_independence ~include_likely model ~marginals
+         ~congested_paths ~good_paths)
+  in
+  ind true && ind false
+  && Bitset.equal
+       (Bayesian.infer_correlation model ~engine ~congested_paths ~good_paths)
+       (Bayesian_oracle.infer_correlation model ~engine ~congested_paths
+          ~good_paths)
+
+let prop_inference_parity =
+  QCheck.Test.make
+    ~name:"Bayesian inference = popcount reference (bit-identical)"
+    ~count:150 (QCheck.int_range 0 10_000) (fun seed ->
+      let rng = Rng.create (seed + 190_000) in
+      let model = random_model rng in
+      let obs = random_obs rng model ~t:40 in
+      let _, engine = Correlation_complete.compute model obs in
+      (* Random marginals reach both sides of 1/2, and ties. *)
+      let marginals =
+        Array.init model.Model.n_links (fun _ ->
+            if Rng.bool rng ~p:0.2 then 0.5 else Rng.float rng 1.0)
+      in
+      let pc = Independence_pc.compute model obs in
+      let observed interval =
+        ( Observations.congested_paths_at obs ~interval,
+          Observations.good_paths_at obs ~interval )
+      in
+      (* Arbitrary path states, as lossy measurement can report: some
+         congested paths then have no candidate link at all. *)
+      let arbitrary () =
+        let n = model.Model.n_paths in
+        let congested = Bitset.create n and good = Bitset.create n in
+        for p = 0 to n - 1 do
+          match Rng.int rng 3 with
+          | 0 -> Bitset.set congested p
+          | 1 -> Bitset.set good p
+          | _ -> ()
+        done;
+        (congested, good)
+      in
+      List.for_all
+        (fun (congested_paths, good_paths) ->
+          List.for_all
+            (fun marginals ->
+              inference_parity model ~engine ~marginals ~congested_paths
+                ~good_paths)
+            [ marginals; pc.Pc_result.marginals ])
+        [
+          observed (Rng.int rng 40);
+          observed (Rng.int rng 40);
+          observed (Rng.int rng 40);
+          arbitrary ();
+          arbitrary ();
+        ])
+
+let test_inference_parity_medium () =
+  let w = Lazy.force medium_workload in
+  let model = w.W.model and obs = w.W.obs in
+  let _, engine = Correlation_complete.compute model obs in
+  let marginals =
+    Array.init model.Model.n_links (Prob_engine.link_marginal engine)
+  in
+  for k = 0 to 99 do
+    let interval = k * 4 in
+    let congested_paths = Observations.congested_paths_at obs ~interval in
+    let good_paths = Observations.good_paths_at obs ~interval in
+    if
+      not
+        (inference_parity model ~engine ~marginals ~congested_paths
+           ~good_paths)
+    then Alcotest.failf "interval %d differs from the reference" interval
+  done
+
+(* One correlation set of 24 single-link paths: a pattern with more than
+   20 congested links is beyond exact inclusion–exclusion and must take
+   the independence fallback instead of raising. *)
+let test_pattern_logprob_over_cap () =
+  let n = 24 in
+  let model =
+    Model.make ~n_links:n
+      ~paths:(Array.init n (fun e -> [| e |]))
+      ~corr_sets:[| Array.init n Fun.id |]
+  in
+  let rng = Rng.create 2024 in
+  let obs = random_obs rng model ~t:200 in
+  let eng = Prob_engine.solve (Algorithm1.select model obs) obs in
+  let congested = Array.init 21 Fun.id and good = [| 21; 22; 23 |] in
+  let clamp e =
+    min (1.0 -. 1e-12) (max 1e-12 (Prob_engine.link_marginal eng e))
+  in
+  let expected =
+    let acc = ref 0.0 in
+    Array.iter (fun e -> acc := !acc +. log (clamp e)) congested;
+    Array.iter (fun e -> acc := !acc +. log (1.0 -. clamp e)) good;
+    max (log 1e-12) !acc
+  in
+  let lp = Prob_engine.pattern_logprob eng ~corr:0 ~congested ~good in
+  check_bool "independence fallback" true (lp = expected)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "algorithms"
@@ -918,6 +1095,19 @@ let () =
           qc prop_bayesian_ind_consistent;
           qc prop_bayesian_corr_consistent;
           qc prop_identifiable_good_probs_in_range;
+        ] );
+      ( "parity",
+        [
+          Alcotest.test_case "memoized marginals on the toys" `Quick
+            test_memo_parity_toys;
+          qc prop_memo_parity_random;
+          Alcotest.test_case "memoized marginals at medium scale" `Slow
+            test_memo_parity_medium;
+          qc prop_inference_parity;
+          Alcotest.test_case "inference at medium scale" `Slow
+            test_inference_parity_medium;
+          Alcotest.test_case "pattern over the exact cap" `Quick
+            test_pattern_logprob_over_cap;
         ] );
       ( "confidence",
         [

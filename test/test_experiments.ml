@@ -95,6 +95,22 @@ let test_fig3_cells_in_range () =
           (Fig3.algorithm_to_string a))
     Fig3.algorithms
 
+(* Medium scale, seed 5, No Stationarity: some interval's correlation
+   set holds more than 20 congested links, past exact
+   inclusion-exclusion. Bayesian-Correlation must fall back to the
+   independence reading, not raise. *)
+let test_fig3_wide_congestion_completes () =
+  let w =
+    W.prepare
+      (W.spec ~scale:W.Medium ~seed:5 ~nonstationary:true W.Brite
+         Scenario.No_independence)
+  in
+  let c = Fig3.run_cell w Fig3.Bayesian_correlation in
+  check_bool "detection in range" true
+    (c.Fig3.detection >= 0.0 && c.Fig3.detection <= 1.0);
+  check_bool "false positives in range" true
+    (c.Fig3.false_positive >= 0.0 && c.Fig3.false_positive <= 1.0)
+
 let test_fig3_scenarios_cover_paper () =
   let scenarios = Fig3.scenarios ~scale:W.Small ~seed:1 in
   check_int "five scenarios" 5 (List.length scenarios);
@@ -380,6 +396,8 @@ let () =
             test_fig3_scenarios_cover_paper;
           Alcotest.test_case "sparse topologies degrade inference" `Slow
             test_fig3_sparse_degrades;
+          Alcotest.test_case "medium seed 5 completes" `Slow
+            test_fig3_wide_congestion_completes;
         ] );
       ( "fig4",
         [
