@@ -579,6 +579,18 @@ let check_source_paths source model =
           --topology/--scale/--seed for this trace?"
          sp mp)
 
+(* A bad flag value is a command-line mistake: one line on stderr and
+   cmdliner's command-line error status (124), before anything is built
+   or bound. *)
+let usage_error msg =
+  prerr_endline ("tomo_cli: " ^ msg);
+  exit Cmd.Exit.cli_error
+
+let require_positive ~flag v =
+  if v <= 0 then
+    usage_error
+      (Printf.sprintf "%s must be a positive integer (got %d)" flag v)
+
 let model_for scale seed topology =
   let spec = W.spec ~scale ~seed topology Tomo_netsim.Scenario.Random in
   W.model_of_overlay (W.generate_overlay spec)
@@ -704,6 +716,8 @@ let start_telemetry ~spec ~scale ~seed ~topology ~replay ~window engine =
 let run_serve_replay scale seed topology replay window snapshot_in
     snapshot_out snapshot_every max_ticks report_out progress listen
     flush_every linger =
+  if snapshot_in = None then require_positive ~flag:"--window" window;
+  require_positive ~flag:"--snapshot-every" snapshot_every;
   let model = model_for scale seed topology in
   let engine =
     match snapshot_in with
@@ -826,12 +840,15 @@ let run_serve_ingest scale seed topology ingest window snapshot_every
   (* A peer hanging up mid-write must surface as EPIPE, not kill the
      daemon. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let model = model_for scale seed topology in
+  require_positive ~flag:"--window" window;
+  require_positive ~flag:"--ingest-queue" ingest_queue;
+  require_positive ~flag:"--snapshot-every" snapshot_every;
   let policy =
     match Tomo_net.Hub.policy_of_string ingest_policy with
     | Ok p -> p
-    | Error e -> failwith ("--ingest-policy: " ^ e)
+    | Error e -> usage_error ("--ingest-policy: " ^ e)
   in
+  let model = model_for scale seed topology in
   let addr = parse_addr ~flag:"--ingest" ingest in
   Option.iter mkdir_p snapshot_dir;
   Option.iter mkdir_p report_dir;
@@ -1045,10 +1062,11 @@ let serve_cmd =
        ~doc:
          "Run the online sliding-window engine over a measurement \
           stream — a replayed file (--replay) or live framed streams \
-          from send-trace peers (--ingest), re-estimating congestion \
-          probabilities every interval; snapshots allow a killed server \
-          to resume bit-identically, and --listen serves scrapeable \
-          live telemetry while it runs.")
+          from send-trace peers (--ingest). A replay re-estimates \
+          congestion probabilities every interval; the ingest daemon \
+          estimates each peer once, when its stream ends cleanly. \
+          Snapshots allow a killed server to resume bit-identically, \
+          and --listen serves scrapeable live telemetry while it runs.")
     Term.(
       const (fun scale seed topology replay ingest window snapshot_in
                 snapshot_out snapshot_every max_ticks report_out progress

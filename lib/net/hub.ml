@@ -32,7 +32,9 @@ type peer = {
   mutable to_skip : int;  (** re-sent ticks already in the snapshot *)
   mutable eof : bool;  (** stream ended cleanly *)
   mutable dropped : string option;
-  mutable last_estimate : Stream.Engine.estimate option;
+  mutable estimable : bool;
+      (** this connection pushed a tick into a full window: a clean end
+          owes a report *)
   mutable ticks : int;  (** ticks ingested from this connection *)
   mutable finalized : bool;
   mutable closed : bool;
@@ -81,6 +83,8 @@ let create ?select_config ?pool ?(queue_capacity = 64) ?(policy = Block)
     ?(idle_timeout = 0.) ?(snapshot_dir : string option)
     ?(report_dir : string option) ?(snapshot_every = 1) ?max_ticks ~model
     ~window () =
+  if window <= 0 then
+    invalid_arg "Tomo_net.Hub.create: window must be positive";
   if queue_capacity <= 0 then
     invalid_arg "Tomo_net.Hub.create: queue_capacity must be positive";
   if snapshot_every <= 0 then
@@ -357,7 +361,7 @@ let attach t fd =
         to_skip = 0;
         eof = false;
         dropped = None;
-        last_estimate = None;
+        estimable = false;
         ticks = 0;
         finalized = false;
         closed = false;
@@ -404,13 +408,15 @@ let maybe_snapshot t p engine =
         (Stream.Engine.snapshot engine)
   | _ -> ()
 
+(* Ticks are only pushed: a report reads one estimate, so the solve waits
+   for [finalize]. *)
 let ingest_batch t (p, batch) =
   let engine = Option.get p.engine in
   List.iter
     (fun good ->
-      (match Stream.Engine.ingest ?pool:t.pool engine good with
-      | Some est -> p.last_estimate <- Some est
-      | None -> ());
+      Stream.Engine.push engine good;
+      if Stream.Window.is_full (Stream.Engine.window engine) then
+        p.estimable <- true;
       p.ticks <- p.ticks + 1;
       maybe_snapshot t p engine)
     batch;
@@ -426,7 +432,11 @@ let write_file_atomic path contents =
   Sys.rename tmp path
 
 (* Final snapshot always; a report only when the peer's stream ended
-   cleanly and the hub was not cut short by [max_ticks]. *)
+   cleanly, the hub was not cut short by [max_ticks], and this
+   connection fed a full window.  The report's estimate is the one
+   solve of the peer's lifetime: it is a function of the selection and
+   window counts alone, so it equals what a per-tick [ingest] would have
+   returned for the last tick. *)
 let finalize t ~allow_report p =
   if not p.finalized then begin
     p.finalized <- true;
@@ -437,13 +447,16 @@ let finalize t ~allow_report p =
             Stream.Snapshot.save (snapshot_path t p)
               (Stream.Engine.snapshot engine)
         | _ -> ());
-        match (t.report_dir, p.last_estimate) with
-        | Some dir, Some est
-          when allow_report && p.eof && p.dropped = None ->
-            write_file_atomic
-              (Filename.concat dir (p.name ^ ".report"))
-              (Stream.Engine.report_to_string ~window:t.window est);
-            locked t (fun () -> t.s_reports <- t.s_reports + 1)
+        match t.report_dir with
+        | Some dir
+          when allow_report && p.eof && p.dropped = None && p.estimable -> (
+            match Stream.Engine.current ?pool:t.pool engine with
+            | Some est ->
+                write_file_atomic
+                  (Filename.concat dir (p.name ^ ".report"))
+                  (Stream.Engine.report_to_string ~window:t.window est);
+                locked t (fun () -> t.s_reports <- t.s_reports + 1)
+            | None -> ())
         | _ -> ())
     | None -> ());
     close_peer t p;

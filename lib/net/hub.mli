@@ -6,11 +6,19 @@
       {!Frame} decode, {!Tomo_stream.Record} parse, push the tick's
       bitset onto the peer's bounded queue;
     - the {e drain loop} ({!run}, on the caller's thread) splices every
-      ready peer's queued ticks out and ingests them over
-      {!Tomo_par.Pool.parallel_map} — one task per peer, each ingesting
-      its ticks {e in order} into its own engine, so the cross-peer
-      schedule can never change any peer's numbers and a socket-fed
-      report is bit-identical to [serve --replay] of the same trace;
+      ready peer's queued ticks out and pushes them over
+      {!Tomo_par.Pool.parallel_map} — one task per peer, each pushing
+      its ticks {e in order} into its own engine
+      ({!Tomo_stream.Engine.push}: window, row counts, re-selection; no
+      solve), so the cross-peer schedule can never change any peer's
+      numbers;
+    - each peer is {e estimated once}, when its report is written: at
+      a clean end of stream the drain loop calls
+      {!Tomo_stream.Engine.current} on the peer's engine.  An estimate
+      is a pure function of the pushed window, so the report is
+      bit-identical to [serve --replay] of the same trace, which
+      estimates every tick.  In this mode [stream_estimates] and the
+      [stream_*solve_s] histograms count reports, not ticks;
     - a {e ticker systhread} polls the stop flag and idle peers every
       ~100 ms and broadcasts the drain loop's condition variable, so
       {!request_stop} stays async-signal-safe (it only flips an
@@ -53,12 +61,16 @@ type t
     @param snapshot_dir directory for per-peer [<name>.snap] files —
       also where reconnecting peers are restored from.
     @param report_dir directory for per-peer [<name>.report] files
-      (tomo-report v1), written when a peer's stream ends cleanly.
+      (tomo-report v1), written when a peer's stream ends cleanly after
+      this connection pushed at least one tick into a full window; the
+      only solves the hub runs are for these reports.
     @param snapshot_every snapshot cadence in ticks (default 1).
     @param max_ticks stop the whole hub after ingesting exactly this
       many ticks across all peers — the deterministic stand-in for a
       mid-stream kill ({!run} finalizes snapshots but writes no
-      reports). *)
+      reports).
+    @raise Invalid_argument if [window], [queue_capacity] or
+      [snapshot_every] is not positive. *)
 val create :
   ?select_config:Tomo.Algorithm1.config ->
   ?pool:Tomo_par.Pool.t ->
@@ -82,10 +94,10 @@ val attach : t -> Unix.file_descr -> unit
     from a signal handler. *)
 val request_stop : t -> unit
 
-(** The drain loop: ingest queued ticks until {!request_stop} or the
+(** The drain loop: push queued ticks until {!request_stop} or the
     [max_ticks] budget is spent, then release every reader, finalize
-    every peer (final snapshot; report only for cleanly ended peers
-    when not cut by [max_ticks]), and return.  Call once. *)
+    every peer (final snapshot; estimate and report only for cleanly
+    ended peers when not cut by [max_ticks]), and return.  Call once. *)
 val run : t -> unit
 
 (** Unconditional lifetime totals (unlike {!Tomo_obs.Metrics}, these

@@ -211,8 +211,9 @@ let ensure_selection t =
   | Some s when Bitset.equal s.always_good always -> ()
   | _ -> t.sel <- Some (build_selection t ~always)
 
-let ingest ?pool t good =
-  Obs.Trace.with_span "stream.tick" @@ fun () ->
+(* Window push + selection upkeep: after this returns on a full window,
+   [t.sel] matches the window, so an estimate needs only [solve]. *)
+let advance t good =
   let t0 = Unix.gettimeofday () in
   Obs.Metrics.incr c_ticks;
   let evicted = Window.push t.window good in
@@ -222,33 +223,38 @@ let ingest ?pool t good =
     Obs.Metrics.set_gauge g_capacity
       (float_of_int (Window.capacity t.window))
   end;
-  let est =
-    if not (Window.is_full t.window) then begin
-      if Obs.Metrics.enabled () then
-        Obs.Metrics.observe h_stage_ingest (Unix.gettimeofday () -. t0);
-      None
-    end
-    else begin
-      (match (t.sel, evicted) with
-      | Some s, Some evicted
-        when Bitset.equal s.always_good (Window.always_good_paths t.window)
-        ->
-          update_counts s ~evicted ~fresh:good;
-          if Obs.Metrics.enabled () then
-            Obs.Metrics.observe h_stage_ingest (Unix.gettimeofday () -. t0)
-      | _ ->
-          (* The ingest stage ends where re-selection begins: charge the
-             push + count bookkeeping here, the Algorithm 1 re-run to
-             [stream_stage_reselect_s] inside [build_selection]. *)
-          if Obs.Metrics.enabled () then
-            Obs.Metrics.observe h_stage_ingest (Unix.gettimeofday () -. t0);
-          ensure_selection t);
-      Some (solve ?pool t)
-    end
+  let stage_done () =
+    if Obs.Metrics.enabled () then
+      Obs.Metrics.observe h_stage_ingest (Unix.gettimeofday () -. t0)
   in
+  if not (Window.is_full t.window) then stage_done ()
+  else
+    match (t.sel, evicted) with
+    | Some s, Some evicted
+      when Bitset.equal s.always_good (Window.always_good_paths t.window) ->
+        update_counts s ~evicted ~fresh:good;
+        stage_done ()
+    | _ ->
+        (* The ingest stage ends where re-selection begins: charge the
+           push + count bookkeeping here, the Algorithm 1 re-run to
+           [stream_stage_reselect_s] inside [build_selection]. *)
+        stage_done ();
+        ensure_selection t
+
+let with_tick f =
+  Obs.Trace.with_span "stream.tick" @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
   if Obs.Metrics.enabled () then
     Obs.Metrics.observe h_tick (Unix.gettimeofday () -. t0);
-  est
+  r
+
+let push t good = with_tick (fun () -> advance t good)
+
+let ingest ?pool t good =
+  with_tick (fun () ->
+      advance t good;
+      if Window.is_full t.window then Some (solve ?pool t) else None)
 
 let current ?pool t =
   if not (Window.is_full t.window) then None

@@ -2,8 +2,8 @@
 
     Ingests path-observation batches one measurement interval at a time
     (from any {!Source}), maintains a bounded sliding {!Window}, and
-    re-estimates Correlation-complete congestion probabilities per tick
-    by reusing the batch machinery ({!Tomo.Algorithm1} +
+    estimates Correlation-complete congestion probabilities over it by
+    reusing the batch machinery ({!Tomo.Algorithm1} +
     {!Tomo.Prob_engine}) — never from scratch:
 
     - the equation-system {e selection} is cached and recomputed only
@@ -25,12 +25,15 @@
     configured): counters [stream_ticks], [stream_estimates],
     [stream_reselects]; gauges [stream_window_occupancy],
     [stream_window_capacity]; histograms [stream_tick_s] (whole-tick
-    latency), [stream_solve_s] (CGLS solve), [stream_corrset_solve_s]
-    (per-correlation-set marginal extraction), and the per-tick stage
-    profile [stream_stage_ingest_s] / [stream_stage_reselect_s] /
-    [stream_stage_solve_s] / [stream_stage_snapshot_s] (window push +
-    count bookkeeping, Algorithm 1 re-run, estimate, atomic snapshot
-    save).  Lifecycle events (via {!Tomo_obs.Events}, off unless
+    latency of a {!push} or {!ingest}), [stream_solve_s] (CGLS solve),
+    [stream_corrset_solve_s] (per-correlation-set marginal extraction),
+    and the stage profile [stream_stage_ingest_s] /
+    [stream_stage_reselect_s] / [stream_stage_solve_s] /
+    [stream_stage_snapshot_s] (window push + count bookkeeping,
+    Algorithm 1 re-run, estimate, atomic snapshot save).
+    [stream_estimates] and the solve histograms count estimates, not
+    batches: one per full-window {!ingest} or {!current}, none per
+    {!push}.  Lifecycle events (via {!Tomo_obs.Events}, off unless
     configured): [reselect], plus [source_open]/[source_eof] from
     {!Source} and [snapshot_written]/[snapshot_restored] from
     {!Snapshot}. *)
@@ -61,15 +64,36 @@ val window : t -> Window.t
     snapshot/restore). *)
 val ticks : t -> int
 
-(** [ingest ?pool t good] feeds one interval batch (bit [p] set iff path
-    [p] measured good; ownership transfers to the window).  Returns the
-    refreshed estimate, or [None] while the window is still warming
+(** Feeding and estimating are separate steps.  An estimate is a pure
+    function of the selection and the window's row counts, and both are
+    kept current by every batch fed, so when (and whether) a caller
+    estimates never changes any number:
+
+    - [push] feeds a batch and solves nothing;
+    - [current] solves the window as it stands;
+    - [ingest] is [push] then, once the window is full, [current].
+
+    Hence after any sequence of batches fed through either entry point,
+    [current] is bit-identical to what [ingest] returned for the last
+    one — including on an engine restored from a {!Snapshot}. *)
+
+(** [push t good] feeds one interval batch (bit [p] set iff path [p]
+    measured good; ownership transfers to the window): the window push,
+    the incremental row counts and, when the window's always-good path
+    set changed, the Algorithm 1 re-run ([reselect] event).  No solve;
+    a caller that reads estimates rarely pushes every tick and calls
+    {!current} when it needs one. *)
+val push : t -> Tomo_util.Bitset.t -> unit
+
+(** [ingest ?pool t good] is [push t good] followed by the estimate of
+    the resulting window, or [None] while the window is still warming
     up. *)
 val ingest : ?pool:Tomo_par.Pool.t -> t -> Tomo_util.Bitset.t -> estimate option
 
-(** [current ?pool t] re-estimates from the window as it stands (e.g.
-    right after a restore, without waiting for the next batch); [None]
-    while warming up. *)
+(** [current ?pool t] estimates from the window as it stands (after
+    [push]es, or right after a restore without waiting for the next
+    batch); [None] while warming up.  After a [push] into a full window
+    the selection is already valid, so this is the solve alone. *)
 val current : ?pool:Tomo_par.Pool.t -> t -> estimate option
 
 (** [snapshot t] captures resumable state; see {!Snapshot}. *)

@@ -404,6 +404,217 @@ let test_hub_overflow_drop_policy () =
   check_int "dropped" 1 (Hub.stats hub).Hub.peers_dropped
 
 (* ------------------------------------------------------------------ *)
+(* Hub: one solve per report                                           *)
+(* ------------------------------------------------------------------ *)
+
+let with_metrics f =
+  Tomo_obs.Metrics.set_enabled true;
+  Tomo_obs.Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Tomo_obs.Metrics.set_enabled false;
+      Tomo_obs.Metrics.reset ())
+    f
+
+let counter name =
+  Tomo_obs.Metrics.counter_value (Tomo_obs.Metrics.counter name)
+
+let solves () = (counter "stream_estimates", counter "prob_engine_solves")
+
+let wait_finalized hub what =
+  wait_for
+    (fun () -> contains ~needle:"\"state\":\"finalized\"" (Hub.status_json hub))
+    what
+
+(* The hub pushes every tick and solves only for the reports it writes. *)
+let test_hub_solves_once_per_report () =
+  let rng = Rng.create 53 in
+  let model = random_model rng in
+  let n_paths = model.Tomo.Model.n_paths in
+  let window = 4 and total = 15 in
+  let cols_a = Array.init total (fun _ -> random_column rng n_paths) in
+  let cols_b = Array.init total (fun _ -> random_column rng n_paths) in
+  let expect_a = expected_report ~model ~window cols_a
+  and expect_b = expected_report ~model ~window cols_b in
+  with_tmpdir (fun dir ->
+      with_metrics (fun () ->
+          let hub = Hub.create ~model ~window ~report_dir:dir () in
+          let runner = Thread.create Hub.run hub in
+          let th_a, _ =
+            spawn_peer hub (trace_frames ~peer:"alpha" ~n_paths cols_a)
+          in
+          let th_b, _ =
+            spawn_peer hub (trace_frames ~peer:"beta" ~n_paths cols_b)
+          in
+          wait_for
+            (fun () -> (Hub.stats hub).Hub.reports_written = 2)
+            "both reports";
+          Hub.request_stop hub;
+          Thread.join runner;
+          Thread.join th_a;
+          Thread.join th_b;
+          let s = Hub.stats hub in
+          check_int "ticks" (2 * total) s.Hub.ticks_ingested;
+          check_int "stream_ticks" (2 * total) (counter "stream_ticks");
+          let estimates, engine_solves = solves () in
+          check_int "stream_estimates == reports_written"
+            s.Hub.reports_written estimates;
+          check_int "prob_engine_solves == reports_written"
+            s.Hub.reports_written engine_solves);
+      Alcotest.(check string)
+        "alpha report unchanged" expect_a
+        (read_file (Filename.concat dir "alpha.report"));
+      Alcotest.(check string)
+        "beta report unchanged" expect_b
+        (read_file (Filename.concat dir "beta.report")))
+
+(* A peer whose snapshot already holds its whole re-sent trace pushes no
+   tick on the new connection, so it owes no report and costs no
+   solve. *)
+let test_hub_restored_no_new_ticks () =
+  let rng = Rng.create 59 in
+  let model = random_model rng in
+  let n_paths = model.Tomo.Model.n_paths in
+  let window = 4 and total = 10 in
+  let cols = Array.init total (fun _ -> random_column rng n_paths) in
+  let wire = trace_frames ~peer:"delta" ~n_paths cols in
+  with_tmpdir (fun dir ->
+      let report = Filename.concat dir "delta.report" in
+      let hub1 =
+        Hub.create ~model ~window ~snapshot_dir:dir ~report_dir:dir ()
+      in
+      let runner1 = Thread.create Hub.run hub1 in
+      let th1, _ = spawn_peer hub1 wire in
+      wait_for
+        (fun () -> (Hub.stats hub1).Hub.reports_written = 1)
+        "first report";
+      Hub.request_stop hub1;
+      Thread.join runner1;
+      Thread.join th1;
+      Sys.remove report;
+      with_metrics (fun () ->
+          let hub2 =
+            Hub.create ~model ~window ~snapshot_dir:dir ~report_dir:dir ()
+          in
+          let runner2 = Thread.create Hub.run hub2 in
+          let th2, _ = spawn_peer hub2 wire in
+          wait_finalized hub2 "restored peer finalized";
+          Hub.request_stop hub2;
+          Thread.join runner2;
+          Thread.join th2;
+          let s = Hub.stats hub2 in
+          check_int "nothing re-ingested" 0 s.Hub.ticks_ingested;
+          check_int "no report" 0 s.Hub.reports_written;
+          check_bool "no report file" false (Sys.file_exists report);
+          check_bool "no solve" true (solves () = (0, 0))))
+
+(* A [max_ticks] cut finalizes snapshots only: no report, no solve. *)
+let test_hub_cut_no_solve () =
+  let rng = Rng.create 61 in
+  let model = random_model rng in
+  let n_paths = model.Tomo.Model.n_paths in
+  let window = 3 and total = 12 and cut = 9 in
+  let cols = Array.init total (fun _ -> random_column rng n_paths) in
+  with_tmpdir (fun dir ->
+      with_metrics (fun () ->
+          let hub =
+            Hub.create ~model ~window ~snapshot_dir:dir ~report_dir:dir
+              ~max_ticks:cut ()
+          in
+          let runner = Thread.create Hub.run hub in
+          let th, _ =
+            spawn_peer hub (trace_frames ~peer:"eps" ~n_paths cols)
+          in
+          Thread.join runner;
+          Thread.join th;
+          let s = Hub.stats hub in
+          check_int "cut at the budget" cut s.Hub.ticks_ingested;
+          check_int "no report" 0 s.Hub.reports_written;
+          check_bool "no solve" true (solves () = (0, 0));
+          check_bool "snapshot written" true
+            (Sys.file_exists (Filename.concat dir "eps.snap"))))
+
+(* ------------------------------------------------------------------ *)
+(* Configuration errors                                                *)
+(* ------------------------------------------------------------------ *)
+
+let test_hub_create_rejects () =
+  let model = random_model (Rng.create 67) in
+  let rejects name f =
+    match f () with
+    | (_ : Hub.t) -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "window 0" (fun () -> Hub.create ~model ~window:0 ());
+  rejects "window -1" (fun () -> Hub.create ~model ~window:(-1) ());
+  rejects "queue_capacity 0" (fun () ->
+      Hub.create ~model ~window:3 ~queue_capacity:0 ());
+  rejects "snapshot_every 0" (fun () ->
+      Hub.create ~model ~window:3 ~snapshot_every:0 ())
+
+(* Runs the CLI next to this test binary; returns its exit code and
+   stderr.  A CLI still running after [timeout] seconds (a daemon that
+   bound and is serving) is killed and reported as such. *)
+let run_cli ?(timeout = 20.) args =
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name "bin/tomo_cli.exe")
+  in
+  let err_path = Filename.temp_file "tomo_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err_path)
+    (fun () ->
+      let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let pid =
+        Unix.create_process exe (Array.of_list (exe :: args)) null null err
+      in
+      Unix.close err;
+      Unix.close null;
+      let t0 = Unix.gettimeofday () in
+      let rec wait () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () -. t0 > timeout ->
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            Alcotest.failf "tomo_cli %s still running after %gs"
+              (String.concat " " args) timeout
+        | 0, _ ->
+            Thread.delay 0.02;
+            wait ()
+        | _, Unix.WEXITED c -> c
+        | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> 1000 + s
+      in
+      let code = wait () in
+      (code, read_file err_path))
+
+(* Bad ingest flags are refused with one line and the command-line
+   error status before the daemon binds its socket. *)
+let test_cli_rejects_bad_ingest_flags () =
+  with_tmpdir (fun dir ->
+      let sock = Filename.concat dir "ingest.sock" in
+      List.iter
+        (fun (flag, value) ->
+          let code, err =
+            run_cli
+              [ "serve"; "--scale"; "small"; "--ingest"; sock; flag; value ]
+          in
+          check_int (flag ^ " exit code") 124 code;
+          check_bool (flag ^ " names the flag") true
+            (contains ~needle:flag err);
+          check_int (flag ^ " one-line message") 1
+            (List.length
+               (List.filter (( <> ) "") (String.split_on_char '\n' err)));
+          check_bool (flag ^ " never bound") false (Sys.file_exists sock))
+        [
+          ("--window", "0");
+          ("--ingest-queue", "0");
+          ("--snapshot-every", "0");
+          ("--ingest-policy", "sometimes");
+        ])
+
+(* ------------------------------------------------------------------ *)
 (* Listener: accepts on a real Unix socket                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -461,6 +672,19 @@ let () =
             test_hub_idle_timeout;
           Alcotest.test_case "queue overflow drops under drop policy" `Quick
             test_hub_overflow_drop_policy;
+          Alcotest.test_case "one solve per report" `Quick
+            test_hub_solves_once_per_report;
+          Alcotest.test_case "restored peer with no new ticks: no report"
+            `Quick test_hub_restored_no_new_ticks;
+          Alcotest.test_case "max_ticks cut: no report, no solve" `Quick
+            test_hub_cut_no_solve;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "create rejects non-positive sizes" `Quick
+            test_hub_create_rejects;
+          Alcotest.test_case "CLI refuses bad ingest flags before binding"
+            `Quick test_cli_rejects_bad_ingest_flags;
         ] );
       ( "listener",
         [ Alcotest.test_case "accepts over a Unix socket" `Quick test_listener_accepts ] );

@@ -362,6 +362,63 @@ let test_streaming_equals_batch () =
     (Engine.report_to_string ~window batch_est)
     (Engine.report_to_string ~window est)
 
+(* ------------------------------------------------------------------ *)
+(* push + current == ingest                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* On a medium Netsim trace that crosses re-selections, pushing k ticks
+   and then asking for the current estimate must equal the k-th ingest
+   result bit for bit, for every k — also on an engine restored from a
+   snapshot mid-trace. *)
+let test_push_current_parity () =
+  let window = 20 and total = 100 and cut = 70 in
+  let w =
+    W.prepare
+      (W.spec ~scale:W.Medium ~seed:1 ~t_override:total W.Brite
+         Tomo_netsim.Scenario.Random)
+  in
+  let model = w.W.model in
+  let cols =
+    Array.init total (fun interval ->
+        Tomo_netsim.Trace_io.interval_statuses w.W.run ~interval)
+  in
+  let a = Engine.create ~model ~window () in
+  let expected =
+    Array.map (fun c -> fingerprint (Engine.ingest a (Bitset.copy c))) cols
+  in
+  let check_tick name k got =
+    if got <> expected.(k) then Alcotest.failf "%s: tick %d differs" name (k + 1)
+  in
+  (* push, then current, at every tick *)
+  let b = Engine.create ~model ~window () in
+  let restored = ref None in
+  Array.iteri
+    (fun k c ->
+      Engine.push b (Bitset.copy c);
+      check_tick "push+current" k (fingerprint (Engine.current b));
+      if k + 1 = cut then
+        restored :=
+          Some
+            (Engine.of_snapshot ~model
+               (Snapshot.of_string (Snapshot.to_string (Engine.snapshot b)))))
+    cols;
+  let st_a = Engine.status a and st_b = Engine.status b in
+  check_bool "trace crosses a re-selection" true (st_a.Engine.st_reselects >= 2);
+  check_int "push re-selects on the same ticks" st_a.Engine.st_reselects
+    st_b.Engine.st_reselects;
+  (* pushes only, one estimate at the end *)
+  let c = Engine.create ~model ~window () in
+  Array.iter (fun col -> Engine.push c (Bitset.copy col)) cols;
+  check_tick "push only" (total - 1) (fingerprint (Engine.current c));
+  check_int "one estimate" 1 (Engine.status c).Engine.st_estimates;
+  (* restored mid-trace, then push+current *)
+  let d = Option.get !restored in
+  check_tick "restored current" (cut - 1) (fingerprint (Engine.current d));
+  for k = cut to total - 1 do
+    Engine.push d (Bitset.copy cols.(k));
+    check_tick "restored push+current" k (fingerprint (Engine.current d))
+  done
+
 let () =
   Tomo_par.Pool.set_default_jobs 1;
   Alcotest.run "stream"
@@ -388,5 +445,7 @@ let () =
         [
           Alcotest.test_case "streaming == batch on a Netsim trace" `Slow
             test_streaming_equals_batch;
+          Alcotest.test_case "push + current == ingest on a medium trace"
+            `Slow test_push_current_parity;
         ] );
     ]
