@@ -441,9 +441,9 @@ let net_pass () =
     !best *. 1e9 /. float_of_int n_frames
   in
   (* end-to-end: socketpair → reader thread → record parse → queue →
-     drain loop → window push.  The hub solves only when it writes a
-     report, which it never does here, so this is the per-tick cost
-     with any window; the oversized window also skips re-selection. *)
+     drain loop → window push.  The hub selects and solves only when it
+     writes a report, which it never does here, so this is the per-tick
+     cost with any window. *)
   let ingest_ns =
     let best = ref infinity in
     for _ = 1 to 3 do

@@ -564,11 +564,6 @@ let best_effort_arg =
            dropped this peer) — for harnesses that race a sender \
            against a bounded daemon.")
 
-(* Sniff the stream format so `serve --replay` accepts both the
-   line-per-interval trace format and archived batch observations (an
-   unknown or missing header names both accepted formats). *)
-let open_replay_source = Stream.Source.of_replay_file
-
 let check_source_paths source model =
   let sp = Stream.Source.n_paths source
   and mp = model.Tomo.Model.n_paths in
@@ -590,6 +585,15 @@ let require_positive ~flag v =
   if v <= 0 then
     usage_error
       (Printf.sprintf "%s must be a positive integer (got %d)" flag v)
+
+(* Sniff the stream format so `serve --replay` accepts both the
+   line-per-interval trace format and archived batch observations (an
+   unknown or missing header names both accepted formats).  A replay
+   file that cannot be opened or has no such header is a command-line
+   mistake as well; the message names the path. *)
+let open_replay_source path =
+  try Stream.Source.of_replay_file path
+  with Sys_error msg | Failure msg -> usage_error ("--replay: " ^ msg)
 
 let model_for scale seed topology =
   let spec = W.spec ~scale ~seed topology Tomo_netsim.Scenario.Random in
@@ -900,9 +904,9 @@ let run_serve scale seed topology replay ingest window snapshot_in
     report_dir =
   match (replay, ingest) with
   | Some _, Some _ ->
-      failwith "--replay and --ingest are mutually exclusive"
+      usage_error "--replay and --ingest are mutually exclusive"
   | None, None ->
-      failwith "serve needs a stream: --replay FILE or --ingest ADDR"
+      usage_error "serve needs a stream: --replay FILE or --ingest ADDR"
   | Some replay, None ->
       run_serve_replay scale seed topology replay window snapshot_in
         snapshot_out snapshot_every max_ticks report_out progress listen
@@ -986,6 +990,7 @@ let run_send_trace to_addr trace peer chunk best_effort =
            reason)
 
 let run_batch_report scale seed topology replay window report_out =
+  require_positive ~flag:"--window" window;
   let model = model_for scale seed topology in
   let source = open_replay_source replay in
   check_source_paths source model;
@@ -993,10 +998,9 @@ let run_batch_report scale seed topology replay window report_out =
   Stream.Source.close source;
   let total = List.length cols in
   if total < window then
-    failwith
-      (Printf.sprintf
-         "trace has only %d intervals; --window %d never fills" total
-         window);
+    usage_error
+      (Printf.sprintf "--window %d never fills: %s has only %d intervals"
+         window replay total);
   let last = Array.of_list cols in
   let first = total - window in
   let obs =

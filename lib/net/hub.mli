@@ -9,16 +9,17 @@
       ready peer's queued ticks out and pushes them over
       {!Tomo_par.Pool.parallel_map} — one task per peer, each pushing
       its ticks {e in order} into its own engine
-      ({!Tomo_stream.Engine.push}: window, row counts, re-selection; no
-      solve), so the cross-peer schedule can never change any peer's
-      numbers;
+      ({!Tomo_stream.Engine.push}: the window push alone, no selection
+      and no solve), so the cross-peer schedule can never change any
+      peer's numbers;
     - each peer is {e estimated once}, when its report is written: at
       a clean end of stream the drain loop calls
       {!Tomo_stream.Engine.current} on the peer's engine.  An estimate
       is a pure function of the pushed window, so the report is
       bit-identical to [serve --replay] of the same trace, which
-      estimates every tick.  In this mode [stream_estimates] and the
-      [stream_*solve_s] histograms count reports, not ticks;
+      estimates every tick.  In this mode [stream_estimates],
+      [stream_reselects] and the [stream_*solve_s] and
+      [stream_stage_reselect_s] histograms count reports, not ticks;
     - a {e ticker systhread} polls the stop flag and idle peers every
       ~100 ms and broadcasts the drain loop's condition variable, so
       {!request_stop} stays async-signal-safe (it only flips an

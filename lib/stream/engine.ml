@@ -205,14 +205,18 @@ let solve ?pool t =
     engine;
   }
 
+(* Invariant: a cached selection always matches the window.  [advance]
+   keeps it so or drops it, so an estimate rebuilds only when none is
+   cached. *)
 let ensure_selection t =
-  let always = Window.always_good_paths t.window in
-  match t.sel with
-  | Some s when Bitset.equal s.always_good always -> ()
-  | _ -> t.sel <- Some (build_selection t ~always)
+  if Option.is_none t.sel then
+    t.sel <-
+      Some (build_selection t ~always:(Window.always_good_paths t.window))
 
-(* Window push + selection upkeep: after this returns on a full window,
-   [t.sel] matches the window, so an estimate needs only [solve]. *)
+(* Window push + upkeep of a cached selection: its counts follow the
+   window while the always-good set holds, and it is dropped once the set
+   moves.  Algorithm 1 waits for the next estimate; with nothing cached a
+   push is the window push alone. *)
 let advance t good =
   let t0 = Unix.gettimeofday () in
   Obs.Metrics.incr c_ticks;
@@ -223,23 +227,14 @@ let advance t good =
     Obs.Metrics.set_gauge g_capacity
       (float_of_int (Window.capacity t.window))
   end;
-  let stage_done () =
-    if Obs.Metrics.enabled () then
-      Obs.Metrics.observe h_stage_ingest (Unix.gettimeofday () -. t0)
-  in
-  if not (Window.is_full t.window) then stage_done ()
-  else
-    match (t.sel, evicted) with
-    | Some s, Some evicted
-      when Bitset.equal s.always_good (Window.always_good_paths t.window) ->
-        update_counts s ~evicted ~fresh:good;
-        stage_done ()
-    | _ ->
-        (* The ingest stage ends where re-selection begins: charge the
-           push + count bookkeeping here, the Algorithm 1 re-run to
-           [stream_stage_reselect_s] inside [build_selection]. *)
-        stage_done ();
-        ensure_selection t
+  (match (t.sel, evicted) with
+  | Some s, Some evicted
+    when Bitset.equal s.always_good (Window.always_good_paths t.window) ->
+      update_counts s ~evicted ~fresh:good
+  | Some _, _ -> t.sel <- None
+  | None, _ -> ());
+  if Obs.Metrics.enabled () then
+    Obs.Metrics.observe h_stage_ingest (Unix.gettimeofday () -. t0)
 
 let with_tick f =
   Obs.Trace.with_span "stream.tick" @@ fun () ->
@@ -249,19 +244,19 @@ let with_tick f =
     Obs.Metrics.observe h_tick (Unix.gettimeofday () -. t0);
   r
 
-let push t good = with_tick (fun () -> advance t good)
-
-let ingest ?pool t good =
-  with_tick (fun () ->
-      advance t good;
-      if Window.is_full t.window then Some (solve ?pool t) else None)
-
 let current ?pool t =
   if not (Window.is_full t.window) then None
   else begin
     ensure_selection t;
     Some (solve ?pool t)
   end
+
+let push t good = with_tick (fun () -> advance t good)
+
+let ingest ?pool t good =
+  with_tick (fun () ->
+      advance t good;
+      current ?pool t)
 
 let run ?pool ?snapshot_out ?(snapshot_every = 1) ?max_ticks t source
     ~on_tick =

@@ -6,12 +6,14 @@
     reusing the batch machinery ({!Tomo.Algorithm1} +
     {!Tomo.Prob_engine}) — never from scratch:
 
-    - the equation-system {e selection} is cached and recomputed only
-      when the window's always-good path set changes (the only
-      observation input Algorithm 1 reads);
-    - the per-row all-good {e counts} feeding the right-hand sides are
-      updated incrementally from the evicted/fresh column pair each
-      push ({!Tomo.Prob_engine.solve_with_counts});
+    - the equation-system {e selection} is built when an estimate is
+      asked for and cached until the window's always-good path set
+      changes (the only observation input Algorithm 1 reads); a push
+      that moves the set drops it and the next estimate rebuilds it;
+    - while a selection is cached, the per-row all-good {e counts}
+      feeding the right-hand sides are updated incrementally from the
+      evicted/fresh column pair each push
+      ({!Tomo.Prob_engine.solve_with_counts});
     - marginal extraction fans out per correlation set over
       {!Tomo_par.Pool}.
 
@@ -65,9 +67,10 @@ val window : t -> Window.t
 val ticks : t -> int
 
 (** Feeding and estimating are separate steps.  An estimate is a pure
-    function of the selection and the window's row counts, and both are
-    kept current by every batch fed, so when (and whether) a caller
-    estimates never changes any number:
+    function of the window: the selection and row counts it reads are
+    either kept current by every batch fed or rebuilt from the window,
+    so when (and whether) a caller estimates never changes any
+    number:
 
     - [push] feeds a batch and solves nothing;
     - [current] solves the window as it stands;
@@ -78,11 +81,14 @@ val ticks : t -> int
     one — including on an engine restored from a {!Snapshot}. *)
 
 (** [push t good] feeds one interval batch (bit [p] set iff path [p]
-    measured good; ownership transfers to the window): the window push,
-    the incremental row counts and, when the window's always-good path
-    set changed, the Algorithm 1 re-run ([reselect] event).  No solve;
-    a caller that reads estimates rarely pushes every tick and calls
-    {!current} when it needs one. *)
+    measured good; ownership transfers to the window): the window push
+    and, while a selection is cached, the incremental row counts.
+    [push] never runs Algorithm 1 and solves nothing: when the window's
+    always-good path set changed it drops the cached selection, and the
+    first estimate after that builds it (the [reselect] event carries
+    that estimate's tick).  A caller that reads estimates rarely pushes
+    every tick and calls {!current} when it needs one, paying one
+    selection per estimate at most. *)
 val push : t -> Tomo_util.Bitset.t -> unit
 
 (** [ingest ?pool t good] is [push t good] followed by the estimate of
@@ -92,8 +98,8 @@ val ingest : ?pool:Tomo_par.Pool.t -> t -> Tomo_util.Bitset.t -> estimate option
 
 (** [current ?pool t] estimates from the window as it stands (after
     [push]es, or right after a restore without waiting for the next
-    batch); [None] while warming up.  After a [push] into a full window
-    the selection is already valid, so this is the solve alone. *)
+    batch); [None] while warming up.  With a selection cached this is
+    the solve alone; otherwise Algorithm 1 runs first. *)
 val current : ?pool:Tomo_par.Pool.t -> t -> estimate option
 
 (** [snapshot t] captures resumable state; see {!Snapshot}. *)
@@ -137,7 +143,7 @@ type status = {
   st_capacity : int;
   st_full : bool;
   st_estimates : int;  (** estimates this engine computed (lifetime) *)
-  st_reselects : int;  (** Algorithm 1 re-runs this engine performed *)
+  st_reselects : int;  (** selections (Algorithm 1 runs) this engine built *)
   st_last_estimate_tick : int option;  (** [None] before the first *)
   st_last_rows : int option;
   st_last_vars : int option;

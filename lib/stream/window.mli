@@ -57,8 +57,8 @@ val iter_columns : (Tomo_util.Bitset.t -> unit) -> t -> unit
 
 (** [always_good_paths t] is the set of paths good in every filled slot
     (O(paths) from the maintained counts) — the only observation-derived
-    input {!Tomo.Algorithm1.select} depends on, so the engine re-selects
-    only when this set changes. *)
+    input {!Tomo.Algorithm1.select} depends on, so the engine keeps a
+    selection until this set changes. *)
 val always_good_paths : t -> Tomo_util.Bitset.t
 
 (** [restore ~capacity ~n_paths ~ticks ~columns] rebuilds a window from

@@ -246,6 +246,23 @@ let expected_report ~model ~window cols =
 (* Hub: socket-fed == direct, per-peer isolation                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Serves peers "alpha" and "beta" through one hub writing reports to
+   [dir]; returns the hub's stats once it has stopped after both
+   reports. *)
+let serve_alpha_beta ~model ~window ~dir cols_a cols_b =
+  let n_paths = model.Tomo.Model.n_paths in
+  let hub = Hub.create ~model ~window ~report_dir:dir () in
+  let runner = Thread.create Hub.run hub in
+  let th_a, _ = spawn_peer hub (trace_frames ~peer:"alpha" ~n_paths cols_a) in
+  let th_b, _ = spawn_peer hub (trace_frames ~peer:"beta" ~n_paths cols_b) in
+  wait_for (fun () -> (Hub.stats hub).Hub.reports_written = 2) "both reports";
+  Hub.request_stop hub;
+  Thread.join runner;
+  Thread.join th_a;
+  Thread.join th_b;
+  Hub.stats hub
+
+
 let test_hub_matches_direct () =
   let rng = Rng.create 11 in
   let model = random_model rng in
@@ -254,22 +271,7 @@ let test_hub_matches_direct () =
   let cols_a = Array.init total (fun _ -> random_column rng n_paths) in
   let cols_b = Array.init total (fun _ -> random_column rng n_paths) in
   with_tmpdir (fun dir ->
-      let hub = Hub.create ~model ~window ~report_dir:dir () in
-      let runner = Thread.create Hub.run hub in
-      let th_a, _ =
-        spawn_peer hub (trace_frames ~peer:"alpha" ~n_paths cols_a)
-      in
-      let th_b, _ =
-        spawn_peer hub (trace_frames ~peer:"beta" ~n_paths cols_b)
-      in
-      wait_for
-        (fun () -> (Hub.stats hub).Hub.reports_written = 2)
-        "both reports";
-      Hub.request_stop hub;
-      Thread.join runner;
-      Thread.join th_a;
-      Thread.join th_b;
-      let s = Hub.stats hub in
+      let s = serve_alpha_beta ~model ~window ~dir cols_a cols_b in
       check_int "ticks" (2 * total) s.Hub.ticks_ingested;
       check_int "dropped" 0 s.Hub.peers_dropped;
       Alcotest.(check string)
@@ -438,22 +440,7 @@ let test_hub_solves_once_per_report () =
   and expect_b = expected_report ~model ~window cols_b in
   with_tmpdir (fun dir ->
       with_metrics (fun () ->
-          let hub = Hub.create ~model ~window ~report_dir:dir () in
-          let runner = Thread.create Hub.run hub in
-          let th_a, _ =
-            spawn_peer hub (trace_frames ~peer:"alpha" ~n_paths cols_a)
-          in
-          let th_b, _ =
-            spawn_peer hub (trace_frames ~peer:"beta" ~n_paths cols_b)
-          in
-          wait_for
-            (fun () -> (Hub.stats hub).Hub.reports_written = 2)
-            "both reports";
-          Hub.request_stop hub;
-          Thread.join runner;
-          Thread.join th_a;
-          Thread.join th_b;
-          let s = Hub.stats hub in
+          let s = serve_alpha_beta ~model ~window ~dir cols_a cols_b in
           check_int "ticks" (2 * total) s.Hub.ticks_ingested;
           check_int "stream_ticks" (2 * total) (counter "stream_ticks");
           let estimates, engine_solves = solves () in
@@ -467,6 +454,32 @@ let test_hub_solves_once_per_report () =
       Alcotest.(check string)
         "beta report unchanged" expect_b
         (read_file (Filename.concat dir "beta.report")))
+
+(* ... and selects only for them: pushes never run Algorithm 1, so each
+   report's estimate builds the one selection of its peer's lifetime. *)
+let test_hub_selects_once_per_report () =
+  let rng = Rng.create 71 in
+  let model = random_model rng in
+  let n_paths = model.Tomo.Model.n_paths in
+  let window = 4 and total = 15 in
+  let cols_a = Array.init total (fun _ -> random_column rng n_paths) in
+  let cols_b = Array.init total (fun _ -> random_column rng n_paths) in
+  (* Per-tick estimates re-select more than once on these traces: the
+     always-good set moves after the window fills, so an eager re-run
+     on push would show here. *)
+  List.iter
+    (fun (name, cols) ->
+      let e = Engine.create ~model ~window () in
+      Array.iter (fun c -> ignore (Engine.ingest e (Bitset.copy c))) cols;
+      check_bool (name ^ " re-selects under ingest") true
+        ((Engine.status e).Engine.st_reselects >= 2))
+    [ ("alpha", cols_a); ("beta", cols_b) ];
+  with_tmpdir (fun dir ->
+      with_metrics (fun () ->
+          let s = serve_alpha_beta ~model ~window ~dir cols_a cols_b in
+          check_int "reports" 2 s.Hub.reports_written;
+          check_int "stream_reselects == reports_written"
+            s.Hub.reports_written (counter "stream_reselects")))
 
 (* A peer whose snapshot already holds its whole re-sent trace pushes no
    tick on the new connection, so it owes no report and costs no
@@ -614,6 +627,43 @@ let test_cli_rejects_bad_ingest_flags () =
           ("--ingest-policy", "sometimes");
         ])
 
+(* Replay inputs that cannot be read, a batch window that is
+   non-positive or longer than the trace, and a serve without exactly
+   one stream get the same one-line refusal and status instead of an
+   uncaught exception. *)
+let test_cli_rejects_bad_replay_inputs () =
+  with_tmpdir (fun dir ->
+      let missing = Filename.concat dir "missing.trace"
+      and empty = Filename.concat dir "empty.trace"
+      and short = Filename.concat dir "short.trace" in
+      close_out (open_out empty);
+      let model = [ "--scale"; "small"; "--seed"; "7" ] in
+      check_int "gen-trace exit code" 0
+        (fst
+           (run_cli
+              (("gen-trace" :: model) @ [ "--intervals"; "5"; "--out"; short ])));
+      List.iter
+        (fun (cmd, args, needle) ->
+          let args = (cmd :: model) @ args in
+          let what = String.concat " " args in
+          let code, err = run_cli args in
+          check_int (what ^ " exit code") 124 code;
+          check_bool (what ^ " names " ^ needle) true
+            (contains ~needle:"tomo_cli: " err && contains ~needle err);
+          check_int (what ^ " one-line message") 1
+            (List.length
+               (List.filter (( <> ) "") (String.split_on_char '\n' err))))
+        [
+          (* the window is refused before the replay is opened *)
+          ("batch-report", [ "--replay"; empty; "--window"; "0" ], "--window");
+          ("batch-report", [ "--replay"; missing; "--window"; "40" ], missing);
+          ("serve", [ "--replay"; missing; "--window"; "40" ], missing);
+          ("batch-report", [ "--replay"; empty; "--window"; "40" ], empty);
+          ("batch-report", [ "--replay"; short; "--window"; "40" ], short);
+          ("serve", [ "--replay"; short; "--ingest"; missing ], "--ingest");
+          ("serve", [], "--replay");
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* Listener: accepts on a real Unix socket                             *)
 (* ------------------------------------------------------------------ *)
@@ -674,6 +724,8 @@ let () =
             test_hub_overflow_drop_policy;
           Alcotest.test_case "one solve per report" `Quick
             test_hub_solves_once_per_report;
+          Alcotest.test_case "one selection per report" `Quick
+            test_hub_selects_once_per_report;
           Alcotest.test_case "restored peer with no new ticks: no report"
             `Quick test_hub_restored_no_new_ticks;
           Alcotest.test_case "max_ticks cut: no report, no solve" `Quick
@@ -685,6 +737,8 @@ let () =
             test_hub_create_rejects;
           Alcotest.test_case "CLI refuses bad ingest flags before binding"
             `Quick test_cli_rejects_bad_ingest_flags;
+          Alcotest.test_case "CLI refuses bad replay inputs" `Quick
+            test_cli_rejects_bad_replay_inputs;
         ] );
       ( "listener",
         [ Alcotest.test_case "accepts over a Unix socket" `Quick test_listener_accepts ] );

@@ -391,17 +391,14 @@ let test_push_current_parity () =
   in
   (* push, then current, at every tick *)
   let b = Engine.create ~model ~window () in
-  let restored = ref None in
+  let snap = ref "" in
   Array.iteri
     (fun k c ->
       Engine.push b (Bitset.copy c);
       check_tick "push+current" k (fingerprint (Engine.current b));
-      if k + 1 = cut then
-        restored :=
-          Some
-            (Engine.of_snapshot ~model
-               (Snapshot.of_string (Snapshot.to_string (Engine.snapshot b)))))
+      if k + 1 = cut then snap := Snapshot.to_string (Engine.snapshot b))
     cols;
+  let restore () = Engine.of_snapshot ~model (Snapshot.of_string !snap) in
   let st_a = Engine.status a and st_b = Engine.status b in
   check_bool "trace crosses a re-selection" true (st_a.Engine.st_reselects >= 2);
   check_int "push re-selects on the same ticks" st_a.Engine.st_reselects
@@ -411,8 +408,19 @@ let test_push_current_parity () =
   Array.iter (fun col -> Engine.push c (Bitset.copy col)) cols;
   check_tick "push only" (total - 1) (fingerprint (Engine.current c));
   check_int "one estimate" 1 (Engine.status c).Engine.st_estimates;
+  (* pushes never run Algorithm 1: the one estimate builds the one
+     selection, however often the always-good set moved before it *)
+  check_int "push only: one selection" 1 (Engine.status c).Engine.st_reselects;
+  (* restored mid-trace, pushes only, one estimate at the end *)
+  let e = restore () in
+  for k = cut to total - 1 do
+    Engine.push e (Bitset.copy cols.(k))
+  done;
+  check_tick "restored push only" (total - 1) (fingerprint (Engine.current e));
+  check_int "restored push only: one selection" 1
+    (Engine.status e).Engine.st_reselects;
   (* restored mid-trace, then push+current *)
-  let d = Option.get !restored in
+  let d = restore () in
   check_tick "restored current" (cut - 1) (fingerprint (Engine.current d));
   for k = cut to total - 1 do
     Engine.push d (Bitset.copy cols.(k));
