@@ -109,7 +109,7 @@ let interval_inputs w =
    correlation-subset variables, 520 equations, each touching a short
    block of consecutive variables (the shape Algorithm 1's selections
    produce once subsets are numbered in discovery order).  Density ≈ 2%,
-   comfortably under the routing threshold. *)
+   the sparsity Algorithm 1's seed-phase elimination runs at. *)
 let paper_incidence =
   lazy
     (let nvars = 400 and nrows = 520 in
@@ -126,10 +126,10 @@ let paper_incidence =
      let sp = Sparse.of_incidence ~rows:nrows ~cols:nvars idxs in
      (sp, Sparse.to_matrix sp, idxs))
 
-(* The guarantee the routing relies on, checked on the bench workload
-   every run (CI greps for the OK line): the sparse elimination must be
-   bit-identical to the dense one — same rank, same pivot columns, every
-   entry of the reduced matrix equal. *)
+(* The guarantee the sparse kernel relies on, checked on the bench
+   workload every run (CI greps for the OK line): the sparse elimination
+   must be bit-identical to the dense one — same rank, same pivot
+   columns, every entry of the reduced matrix equal. *)
 let check_sparse_parity () =
   let _, dense, _ = Lazy.force paper_incidence in
   let d = Gauss.rref_dense dense in
@@ -212,7 +212,7 @@ let check_witness_parity () =
   let off =
     Tomo.Algorithm1.select
       ~config:
-        { Tomo.Algorithm1.default_config with Tomo.Algorithm1.witness_k = Some 0 }
+        { Tomo.Algorithm1.default_config with Tomo.Algorithm1.witness_k = 0 }
       model obs
   in
   let open Tomo.Algorithm1 in
@@ -249,47 +249,13 @@ let check_witness_parity () =
          (if ns_equal then "equal" else "diverged")
          (if vars_equal then "equal" else "diverged"))
 
-(* The guarantee the identifiability pruner relies on, checked on the
-   bench workload every run (CI greps for the OK line): the pruned
-   enumeration must be bit-identical to the exhaustive fan-out — every
-   link marginal equal to the last bit, same identifiability flags,
-   same system dimensions.  The pruner only skips subset sizes with a
-   proof of emptiness and charges their would-be visits against the
-   enumeration budget arithmetically; a wrong proof or a budget
-   mismatch would change the estimates and trip this gate. *)
-let check_ident_prune_parity () =
+(* Fire the ambiguity classification once on the bench workload so the
+   [ident_ambiguous_links] counter lands in the JSON snapshot. *)
+let count_ambiguous_links () =
   let w = Lazy.force fixture in
-  let model = w.W.model and obs = w.W.obs in
-  (* Fire the ambiguity classification once on the bench workload so the
-     [ident_ambiguous_links] counter lands in the JSON snapshot. *)
   ignore
-    (Tomo.Identifiability.ambiguous_links model
-       ~effective:(Tomo.Subsets.effective_links model obs));
-  let saved = Tomo.Subsets.ident_prune_enabled () in
-  Tomo.Subsets.set_ident_prune true;
-  let on, _ = Tomo.Correlation_complete.compute model obs in
-  Tomo.Subsets.set_ident_prune false;
-  let off, _ = Tomo.Correlation_complete.compute model obs in
-  Tomo.Subsets.set_ident_prune saved;
-  let open Tomo.Pc_result in
-  let marginals_equal =
-    Array.length on.marginals = Array.length off.marginals
-    && Array.for_all2
-         (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-         on.marginals off.marginals
-  in
-  let flags_equal = on.identifiable = off.identifiable in
-  let dims_equal = on.n_rows = off.n_rows && on.n_vars = off.n_vars in
-  if marginals_equal && flags_equal && dims_equal then
-    Format.fprintf ppf "identifiability prune parity: OK@."
-  else
-    failwith
-      (Printf.sprintf
-         "identifiability prune parity: FAILED (marginals %s, flags %s, \
-          dims %s)"
-         (if marginals_equal then "equal" else "diverged")
-         (if flags_equal then "equal" else "diverged")
-         (if dims_equal then "equal" else "diverged"))
+    (Tomo.Identifiability.ambiguous_links w.W.model
+       ~effective:(Tomo.Subsets.effective_links w.W.model w.W.obs))
 
 (* Wall-clock scaling of the simulation itself on the paper-scale cell
    (Brite default topology, 1000 intervals — the Fig. 4 setting): one
@@ -674,7 +640,7 @@ let bench_tests () =
     ]
   in
   (* Sparse-vs-dense elimination on the paper-scale incidence fixture:
-     the dense pair quantifies what the auto-routing buys. *)
+     the dense pair quantifies what the sparse kernel buys. *)
   let paper_sparse, paper_dense, paper_rows = Lazy.force paper_incidence in
   (* The dependent-row tax, isolated: rejecting a row already in the
      span, with the witness prefilter's O(k·nnz) short-circuit vs the
@@ -860,7 +826,7 @@ let () =
   check_sparse_parity ();
   check_sim_parity ();
   check_witness_parity ();
-  check_ident_prune_parity ();
+  count_ambiguous_links ();
   if enabled "TOMO_BENCH_FIGURES" then reproduction_pass ();
   let pipeline_snapshot = Tomo_obs.Metrics.snapshot () in
   Tomo_obs.Metrics.set_enabled metrics_were_enabled;

@@ -72,18 +72,6 @@ let jobs_arg =
            available cores). $(docv)=1 forces sequential execution; \
            results are bit-identical either way.")
 
-let sparse_threshold_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "sparse-threshold" ] ~docv:"D"
-        ~doc:
-          "Route auto-dispatched elimination through the sparse kernel \
-           when the system density is at most $(docv) (default 0.25; 0 \
-           forces the dense kernel everywhere; same as \
-           TOMO_SPARSE_THRESHOLD). Results are bit-identical either \
-           way.")
-
 let metrics_out_arg =
   Arg.(
     value
@@ -93,18 +81,6 @@ let metrics_out_arg =
           "Write a JSON snapshot of every counter, gauge and histogram \
            to $(docv) (\"-\" for stdout; same as TOMO_METRICS_OUT). \
            Written atomically, and periodically with --flush-every.")
-
-let ident_prune_arg =
-  Arg.(
-    value
-    & opt (some bool) None
-    & info [ "ident-prune" ] ~docv:"BOOL"
-        ~doc:
-          "Enable or disable the identifiability pruner: subset sizes \
-           proven to contain no inducible correlation subset are \
-           skipped before fanning out combinations (default enabled; \
-           same as TOMO_IDENT_PRUNE). Results are bit-identical either \
-           way — only the work done differs.")
 
 let events_out_arg =
   Arg.(
@@ -120,8 +96,7 @@ let events_out_arg =
    the TOMO_TRACE / TOMO_METRICS_OUT / TOMO_EVENTS_OUT environment) and
    flush them once the command is done.  Events are configured before
    the pool resize so the startup [pool_resize] lands in the log. *)
-let with_obs ?ident_prune sparse jobs trace metrics_out events_out f =
-  Option.iter Tomo.Subsets.set_ident_prune ident_prune;
+let with_obs jobs trace metrics_out events_out f =
   let events_out =
     match events_out with
     | Some p -> Some p
@@ -131,7 +106,6 @@ let with_obs ?ident_prune sparse jobs trace metrics_out events_out f =
         | some -> some)
   in
   Tomo_obs.Events.configure events_out;
-  Option.iter Tomo_linalg.Sparse.set_density_threshold sparse;
   Option.iter Tomo_par.Pool.set_default_jobs jobs;
   Tomo_obs.Sink.init
     ?trace:(if trace then Some Tomo_obs.Sink.Trace_human else None)
@@ -564,19 +538,11 @@ let best_effort_arg =
            dropped this peer) — for harnesses that race a sender \
            against a bounded daemon.")
 
-let check_source_paths source model =
-  let sp = Stream.Source.n_paths source
-  and mp = model.Tomo.Model.n_paths in
-  if sp <> mp then
-    failwith
-      (Printf.sprintf
-         "replay source has %d paths but the model has %d — wrong \
-          --topology/--scale/--seed for this trace?"
-         sp mp)
-
-(* A bad flag value is a command-line mistake: one line on stderr and
-   cmdliner's command-line error status (124), before anything is built
-   or bound. *)
+(* A user mistake — a bad flag value, or an input file that cannot be
+   read or does not fit the model — gets one line on stderr naming the
+   flag or path, and cmdliner's command-line error status (124).  Flag
+   values are checked before anything is built or bound; a malformed
+   line deep in a replay file surfaces when the engine reaches it. *)
 let usage_error msg =
   prerr_endline ("tomo_cli: " ^ msg);
   exit Cmd.Exit.cli_error
@@ -588,12 +554,36 @@ let require_positive ~flag v =
 
 (* Sniff the stream format so `serve --replay` accepts both the
    line-per-interval trace format and archived batch observations (an
-   unknown or missing header names both accepted formats).  A replay
-   file that cannot be opened or has no such header is a command-line
-   mistake as well; the message names the path. *)
+   unknown or missing header names both accepted formats).  The
+   returned source reports a malformed tick the same way as an
+   unreadable header: the [file:line] message behind [--replay: ]. *)
 let open_replay_source path =
-  try Stream.Source.of_replay_file path
-  with Sys_error msg | Failure msg -> usage_error ("--replay: " ^ msg)
+  let replay_error msg = usage_error ("--replay: " ^ msg) in
+  let source =
+    try Stream.Source.of_replay_file path
+    with Sys_error msg | Failure msg -> replay_error msg
+  in
+  let module Checked = struct
+    type conn = Stream.Source.t
+
+    let n_paths = Stream.Source.n_paths
+
+    let next c =
+      try Stream.Source.next c with Failure msg -> replay_error msg
+
+    let close = Stream.Source.close
+  end in
+  Stream.Source.Source ((module Checked), source)
+
+let check_source_paths ~replay source model =
+  let sp = Stream.Source.n_paths source
+  and mp = model.Tomo.Model.n_paths in
+  if sp <> mp then
+    usage_error
+      (Printf.sprintf
+         "--replay: %s has %d paths but the model has %d — wrong \
+          --topology/--scale/--seed for this trace?"
+         replay sp mp)
 
 let model_for scale seed topology =
   let spec = W.spec ~scale ~seed topology Tomo_netsim.Scenario.Random in
@@ -604,7 +594,10 @@ let write_report path report =
   | None -> ()
   | Some "-" -> print_string report
   | Some p ->
-      let oc = open_out p in
+      let oc =
+        try open_out p
+        with Sys_error msg -> usage_error ("--report-out: " ^ msg)
+      in
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc report)
@@ -726,7 +719,11 @@ let run_serve_replay scale seed topology replay window snapshot_in
   let engine =
     match snapshot_in with
     | Some path ->
-        let snap = Stream.Snapshot.load path in
+        let snap =
+          try Stream.Snapshot.load path
+          with Sys_error msg | Failure msg ->
+            usage_error ("--snapshot-in: " ^ msg)
+        in
         Format.fprintf ppf
           "Restored snapshot %s: %d ticks ingested, window %d@." path
           snap.Stream.Snapshot.ticks snap.Stream.Snapshot.capacity;
@@ -748,16 +745,16 @@ let run_serve_replay scale seed topology replay window snapshot_in
     else None
   in
   let source = open_replay_source replay in
-  check_source_paths source model;
+  check_source_paths ~replay source model;
   let already = Stream.Engine.ticks engine in
   if already > 0 then begin
     let skipped = Stream.Source.drop source already in
     if skipped < already then
-      failwith
+      usage_error
         (Printf.sprintf
-           "replay has only %d of the %d intervals the snapshot already \
-            ingested — wrong trace for this snapshot?"
-           skipped already)
+           "--replay: %s has only %d of the %d intervals the snapshot \
+            already ingested — wrong trace for this snapshot?"
+           replay skipped already)
   end;
   let on_tick engine est =
     publish engine;
@@ -993,7 +990,7 @@ let run_batch_report scale seed topology replay window report_out =
   require_positive ~flag:"--window" window;
   let model = model_for scale seed topology in
   let source = open_replay_source replay in
-  check_source_paths source model;
+  check_source_paths ~replay source model;
   let cols = List.rev (Stream.Source.fold source (fun acc c -> c :: acc) []) in
   Stream.Source.close source;
   let total = List.length cols in
@@ -1027,22 +1024,19 @@ let all scale seed seeds csv =
 let cmd name doc f =
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (fun scale seed seeds sparse jobs ident trace mout eout ->
-          with_obs ?ident_prune:ident sparse jobs trace mout eout (fun () ->
-              f scale seed seeds))
-      $ scale_arg $ seed_arg $ seeds_arg $ sparse_threshold_arg $ jobs_arg
-      $ ident_prune_arg $ trace_arg $ metrics_out_arg $ events_out_arg)
+      const (fun scale seed seeds jobs trace mout eout ->
+          with_obs jobs trace mout eout (fun () -> f scale seed seeds))
+      $ scale_arg $ seed_arg $ seeds_arg $ jobs_arg $ trace_arg
+      $ metrics_out_arg $ events_out_arg)
 
 let cmd_csv name doc f =
   Cmd.v
     (Cmd.info name ~doc)
     Term.(
-      const (fun scale seed seeds csv sparse jobs ident trace mout eout ->
-          with_obs ?ident_prune:ident sparse jobs trace mout eout (fun () ->
-              f scale seed seeds csv))
-      $ scale_arg $ seed_arg $ seeds_arg $ csv_arg $ sparse_threshold_arg
-      $ jobs_arg $ ident_prune_arg $ trace_arg $ metrics_out_arg
-      $ events_out_arg)
+      const (fun scale seed seeds csv jobs trace mout eout ->
+          with_obs jobs trace mout eout (fun () -> f scale seed seeds csv))
+      $ scale_arg $ seed_arg $ seeds_arg $ csv_arg $ jobs_arg $ trace_arg
+      $ metrics_out_arg $ events_out_arg)
 
 let gen_trace_cmd =
   Cmd.v
@@ -1052,13 +1046,13 @@ let gen_trace_cmd =
           stream as a replayable tomo-trace file.")
     Term.(
       const (fun scale seed topology scenario nonstationary intervals out
-                sparse jobs trace mout eout ->
-          with_obs sparse jobs trace mout eout (fun () ->
+                jobs trace mout eout ->
+          with_obs jobs trace mout eout (fun () ->
               run_gen_trace scale seed topology scenario nonstationary
                 intervals out))
       $ scale_arg $ seed_arg $ topology_arg $ scenario_arg
-      $ nonstationary_arg $ intervals_arg $ out_arg $ sparse_threshold_arg
-      $ jobs_arg $ trace_arg $ metrics_out_arg $ events_out_arg)
+      $ nonstationary_arg $ intervals_arg $ out_arg $ jobs_arg $ trace_arg
+      $ metrics_out_arg $ events_out_arg)
 
 let serve_cmd =
   Cmd.v
@@ -1075,9 +1069,8 @@ let serve_cmd =
       const (fun scale seed topology replay ingest window snapshot_in
                 snapshot_out snapshot_every max_ticks report_out progress
                 listen flush_every linger ingest_queue ingest_policy
-                idle_timeout snapshot_dir report_dir sparse jobs trace mout
-                eout ->
-          with_obs sparse jobs trace mout eout (fun () ->
+                idle_timeout snapshot_dir report_dir jobs trace mout eout ->
+          with_obs jobs trace mout eout (fun () ->
               run_serve scale seed topology replay ingest window snapshot_in
                 snapshot_out snapshot_every max_ticks report_out progress
                 listen flush_every linger ingest_queue ingest_policy
@@ -1086,9 +1079,8 @@ let serve_cmd =
       $ window_arg $ snapshot_in_arg $ snapshot_out_arg $ snapshot_every_arg
       $ max_ticks_arg $ report_out_arg $ progress_arg $ listen_arg
       $ flush_every_arg $ linger_arg $ ingest_queue_arg $ ingest_policy_arg
-      $ idle_timeout_arg $ snapshot_dir_arg $ report_dir_arg
-      $ sparse_threshold_arg $ jobs_arg $ trace_arg $ metrics_out_arg
-      $ events_out_arg)
+      $ idle_timeout_arg $ snapshot_dir_arg $ report_dir_arg $ jobs_arg
+      $ trace_arg $ metrics_out_arg $ events_out_arg)
 
 let send_trace_cmd =
   Cmd.v
@@ -1111,13 +1103,13 @@ let batch_report_cmd =
           replay file and write the same tomo-report format as serve — \
           the two must diff equal.")
     Term.(
-      const (fun scale seed topology replay window report_out sparse jobs
-                trace mout eout ->
-          with_obs sparse jobs trace mout eout (fun () ->
+      const (fun scale seed topology replay window report_out jobs trace
+                mout eout ->
+          with_obs jobs trace mout eout (fun () ->
               run_batch_report scale seed topology replay window report_out))
       $ scale_arg $ seed_arg $ topology_arg $ replay_arg $ window_arg
-      $ report_out_arg $ sparse_threshold_arg $ jobs_arg $ trace_arg
-      $ metrics_out_arg $ events_out_arg)
+      $ report_out_arg $ jobs_arg $ trace_arg $ metrics_out_arg
+      $ events_out_arg)
 
 let table2_cmd =
   Cmd.v

@@ -22,7 +22,7 @@ type config = {
   max_pathset_size : int;
   max_candidates_per_subset : int;
   tol : float;
-  witness_k : int option;
+  witness_k : int;
 }
 
 let default_config =
@@ -32,7 +32,7 @@ let default_config =
     max_pathset_size = 8;
     max_candidates_per_subset = 300;
     tol = 1e-8;
-    witness_k = None;
+    witness_k = 2;
   }
 
 type selection = {
@@ -163,7 +163,7 @@ let select ?(config = default_config) model obs =
             Nullspace.basis_of_incidence ~tol:cfg.tol ~rows:!n_kept ~cols:n
               kept_vars
           in
-          Nullspace.tracker_of_matrix ~tol:cfg.tol ?witness_k:cfg.witness_k
+          Nullspace.tracker_of_matrix ~tol:cfg.tol ~witness_k:cfg.witness_k
             basis)
     in
     let try_add row =

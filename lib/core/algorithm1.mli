@@ -40,12 +40,11 @@ type config = {
   max_candidates_per_subset : int;
       (** candidate path sets enumerated per subset (default 300) *)
   tol : float;  (** numerical tolerance for rank decisions *)
-  witness_k : int option;
-      (** witness vectors for the independence prefilter ([None] =
-          {!Tomo_linalg.Nullspace.default_witness_k}, i.e. the
-          [TOMO_WITNESS_K] default; [Some 0] forces the exact path).
-          Selections are bit-identical whatever the value — the
-          prefilter only short-circuits dependent rows. *)
+  witness_k : int;
+      (** witness vectors for the independence prefilter (default 2;
+          [0] leaves only the exact test).  Selections are bit-identical
+          whatever the value — the prefilter only short-circuits
+          dependent rows. *)
 }
 
 val default_config : config

@@ -13,9 +13,9 @@
       (the paper's Condition 1, generalized from the first offending
       pair to full ambiguity classes with representatives);
     - per-correlation-set bounds on the candidate subsets: which subset
-      sizes admit {e any} inducible subset (the pruning bound
-      {!Subsets.enumerate} consults before fanning out combinations),
-      exact inducible-subset counts, and the maximal size [k] below
+      sizes admit {e any} inducible subset (a proof of emptiness for the
+      sizes {!Subsets.enumerate} fans out in vain), exact
+      inducible-subset counts, and the maximal size [k] below
       which all candidate subsets are pairwise distinguishable.
 
     The per-set analysis rests on one structural fact: a subset [E] of a
@@ -44,7 +44,8 @@ type corr_stats = {
           the closure was truncated *)
   pruned_sizes : int;
       (** sizes in [1..min max_size n_effective] with provably no
-          inducible subset — the slots {!Subsets.enumerate} skips *)
+          inducible subset — slots whose {!Subsets.enumerate} visits
+          can find nothing *)
 }
 
 type t = {

@@ -3,25 +3,11 @@ module Combin = Tomo_util.Combin
 module Obs = Tomo_obs
 
 (* §4 complexity control observability: how many correlation subsets the
-   enumeration produced, how often a correlation set's enumeration was
-   truncated (by the per-set find cap or by the visit budget — either
-   way Ê lost completeness), and how many combination visits the
-   identifiability pruner saved. *)
+   enumeration produced, and how often a correlation set's enumeration
+   was truncated (by the per-set find cap or by the visit budget — either
+   way Ê lost completeness). *)
 let c_enumerated = Obs.Metrics.counter "subsets_enumerated"
 let c_capped = Obs.Metrics.counter "subsets_enumeration_capped"
-let c_pruned = Obs.Metrics.counter "ident_pruned_sets"
-
-(* The identifiability pruner is a pure skip of provably empty work, so
-   it defaults on; TOMO_IDENT_PRUNE=0 (or --ident-prune false) restores
-   the exhaustive fan-out for parity runs. *)
-let ident_prune =
-  ref
-    (match Sys.getenv_opt "TOMO_IDENT_PRUNE" with
-    | Some "0" -> false
-    | _ -> true)
-
-let set_ident_prune b = ident_prune := b
-let ident_prune_enabled () = !ident_prune
 
 type t = { corr : int; links : int array }
 
@@ -133,38 +119,20 @@ let inducible model ~effective s =
     (fun e -> not (Bitset.disjoint pool model.Model.link_paths.(e)))
     s.links
 
-(* Enumeration state machine, per correlation set.  The semantics the
-   pruner must preserve exactly: subsets are visited by size then
+(* Enumeration, per correlation set: subsets are visited by size then
    lexicographic order; each visit first checks the [limit_per_set * 4]
    visit budget (stop when exhausted), then the [limit_per_set] find cap
    (stop when reached), then runs the inducibility test.  Either early
    stop with unvisited subsets remaining truncates Ê and counts once
-   into [subsets_enumeration_capped] (the budget path used to be
-   silently uncounted).
-
-   When pruning is on, [Identifiability.inducible_size_witness] proves
-   some sizes contain no inducible subset at all; those sizes are
-   skipped without generating their combinations, but their would-be
-   visits are still charged against the budget ([Combin.choose]
-   arithmetic instead of iteration), so the surviving visit sequence —
-   and with it every found subset, counter and truncation decision — is
-   bit-identical to the exhaustive fan-out. *)
+   into [subsets_enumeration_capped]. *)
 let enumerate model ~effective ~max_size ~limit_per_set =
   if max_size < 1 then invalid_arg "Subsets.enumerate: max_size < 1";
   if limit_per_set < 1 then invalid_arg "Subsets.enumerate: bad limit";
-  let prune = !ident_prune in
   let acc = ref [] in
   for c = 0 to Model.n_corr_sets model - 1 do
     let eff = effective_corr_set model ~effective c in
     let n = Array.length eff in
     if n > 0 then begin
-      let witness =
-        if prune then
-          Some
-            (Identifiability.inducible_size_witness model ~effective ~corr:c
-               ~max_size)
-        else None
-      in
       let budget = limit_per_set * 4 in
       let size_cap = min max_size n in
       let visited = ref 0 in
@@ -176,51 +144,33 @@ let enumerate model ~effective ~max_size ~limit_per_set =
         let total = Combin.choose n !k in
         let remaining = budget - !visited in
         if remaining <= 0 || !found >= limit_per_set then begin
-          (* The next visit (size [k] is non-empty) would have stopped
-             the exhaustive enumeration here. *)
+          (* Size [k] is non-empty: stopping here leaves subsets
+             unvisited. *)
           truncated := true;
           stop := true
         end
         else begin
-          let skip =
-            match witness with Some w -> not w.(!k - 1) | None -> false
+          let visited_k =
+            Combin.iter_sized eff ~size:!k ~limit:remaining (fun links ->
+                if !found >= limit_per_set then begin
+                  truncated := true;
+                  stop := true;
+                  `Stop
+                end
+                else begin
+                  let s = make model ~corr:c links in
+                  if inducible model ~effective s then begin
+                    acc := s :: !acc;
+                    incr found
+                  end;
+                  `Continue
+                end)
           in
-          if skip then begin
-            (* Provably nothing inducible in this size: charge the
-               budget arithmetically instead of fanning out. *)
-            Obs.Metrics.incr ~by:(min total remaining) c_pruned;
-            if total >= remaining then begin
-              visited := budget;
-              if total > remaining then begin
-                truncated := true;
-                stop := true
-              end
-            end
-            else visited := !visited + total
-          end
-          else begin
-            let visited_k =
-              Combin.iter_sized eff ~size:!k ~limit:remaining (fun links ->
-                  if !found >= limit_per_set then begin
-                    truncated := true;
-                    stop := true;
-                    `Stop
-                  end
-                  else begin
-                    let s = make model ~corr:c links in
-                    if inducible model ~effective s then begin
-                      acc := s :: !acc;
-                      incr found
-                    end;
-                    `Continue
-                  end)
-            in
-            visited := !visited + visited_k;
-            if (not !stop) && visited_k < total && visited_k >= remaining
-            then begin
-              truncated := true;
-              stop := true
-            end
+          visited := !visited + visited_k;
+          if (not !stop) && visited_k < total && visited_k >= remaining
+          then begin
+            truncated := true;
+            stop := true
           end
         end;
         incr k

@@ -59,26 +59,10 @@ val inducible : Model.t -> effective:Tomo_util.Bitset.t -> t -> bool
     singletons first.  Per correlation set at most [limit_per_set * 4]
     subsets are visited; stopping early — by the find cap or the visit
     budget — truncates Ê and counts once into the
-    [subsets_enumeration_capped] metric.
-
-    When identifiability pruning is enabled (the default), subset sizes
-    that {!Identifiability.inducible_size_witness} proves empty are
-    skipped without fanning out their combinations; the skipped visits
-    are still charged against the visit budget, so the enumerated list
-    and every truncation decision are bit-identical to the exhaustive
-    fan-out.  Skipped visits count into the [ident_pruned_sets]
-    metric. *)
+    [subsets_enumeration_capped] metric. *)
 val enumerate :
   Model.t ->
   effective:Tomo_util.Bitset.t ->
   max_size:int ->
   limit_per_set:int ->
   t list
-
-(** [set_ident_prune b] enables or disables the identifiability pruner
-    process-wide (results are bit-identical either way; only the work
-    done differs).  The initial value honours [TOMO_IDENT_PRUNE=0]; the
-    CLI's [--ident-prune] flag routes here. *)
-val set_ident_prune : bool -> unit
-
-val ident_prune_enabled : unit -> bool

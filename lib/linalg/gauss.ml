@@ -75,48 +75,4 @@ let rref_sparse ?tol m =
   in
   { reduced = Sparse.to_matrix reduced; pivot_cols; rank }
 
-(* Auto-routing entry point: count the nonzeros once (the dense kernel
-   scans the matrix for [max_abs] anyway) and hand incidence-sparse
-   systems to the sparse kernel.  Both kernels perform the identical
-   sequence of floating-point operations on nonzero entries, so callers
-   cannot observe the routing except through speed. *)
-let rref ?tol m =
-  let nr = Matrix.rows m and nc = Matrix.cols m in
-  if nr * nc < Sparse.auto_size_floor then rref_dense ?tol m
-  else begin
-    let nnz = ref 0 in
-    for i = 0 to nr - 1 do
-      for j = 0 to nc - 1 do
-        if Matrix.unsafe_get m i j <> 0.0 then incr nnz
-      done
-    done;
-    if Sparse.prefers_sparse ~rows:nr ~cols:nc ~nnz:!nnz then
-      rref_sparse ?tol m
-    else rref_dense ?tol m
-  end
-
-let rank ?tol m = (rref ?tol m).rank
-
-let solve ?(tol = default_tol) a b =
-  let n = Matrix.rows a in
-  if Matrix.cols a <> n then invalid_arg "Gauss.solve: matrix not square";
-  if Array.length b <> n then invalid_arg "Gauss.solve: size mismatch";
-  let aug = Matrix.init n (n + 1) (fun i j ->
-      if j < n then Matrix.get a i j else b.(i))
-  in
-  let { reduced; rank; _ } = rref ~tol aug in
-  if rank < n then failwith "Gauss.solve: singular matrix";
-  Array.init n (fun i -> Matrix.get reduced i n)
-
-let inverse ?(tol = default_tol) a =
-  let n = Matrix.rows a in
-  if Matrix.cols a <> n then invalid_arg "Gauss.inverse: matrix not square";
-  let aug = Matrix.init n (2 * n) (fun i j ->
-      if j < n then Matrix.get a i j else if j - n = i then 1.0 else 0.0)
-  in
-  let { reduced; pivot_cols; rank } = rref ~tol aug in
-  (* [A|I] always has full row rank; A is singular exactly when one of
-     the n pivots lands in the identity half. *)
-  if rank < n || List.exists (fun j -> j >= n) pivot_cols then
-    failwith "Gauss.inverse: singular matrix";
-  Matrix.init n n (fun i j -> Matrix.get reduced i (n + j))
+let rank ?tol m = (rref_dense ?tol m).rank

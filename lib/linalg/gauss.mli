@@ -1,12 +1,11 @@
-(** Gaussian elimination: reduced row-echelon form, rank, and exact solves
-    of square systems.
+(** Gaussian elimination: reduced row-echelon form and rank.
 
     Pivoting is partial (largest absolute entry in the column) and rank
     decisions use a tolerance relative to the largest entry encountered,
     which is appropriate for the 0/1 incidence matrices produced by the
     tomography equation builder. *)
 
-(** Result of [rref]. *)
+(** Result of {!rref_dense}. *)
 type rref = {
   reduced : Matrix.t;  (** the reduced row-echelon form *)
   pivot_cols : int list;  (** pivot column indices, in row order *)
@@ -17,35 +16,17 @@ type rref = {
     {!Sparse_gauss.rref}. *)
 val default_tol : float
 
-(** [rref ?tol m] computes the reduced row-echelon form.  [tol] (default
-    [1e-10]) is the relative threshold below which a pivot candidate is
-    treated as zero.
-
-    Routing: matrices with at least {!Sparse.auto_size_floor} entries
-    whose density is at or below {!Sparse.density_threshold} are
-    eliminated by the sparse kernel ({!Sparse_gauss.rref}); everything
-    else walks the dense rows.  Both kernels perform the identical
-    floating-point operations on nonzero entries, so the result is the
-    same bit for bit (up to the sign of zero entries) whichever path
-    runs. *)
-val rref : ?tol:float -> Matrix.t -> rref
-
-(** [rref_dense ?tol m] forces the dense kernel (benchmarks and
-    equivalence tests). *)
+(** [rref_dense ?tol m] computes the reduced row-echelon form by walking
+    the dense rows.  [tol] (default [1e-10]) is the relative threshold
+    below which a pivot candidate is treated as zero. *)
 val rref_dense : ?tol:float -> Matrix.t -> rref
 
-(** [rref_sparse ?tol m] forces the sparse kernel regardless of density:
-    converts, eliminates via {!Sparse_gauss.rref}, converts back. *)
+(** [rref_sparse ?tol m] eliminates via the sparse kernel
+    ({!Sparse_gauss.rref}): converts, eliminates, converts back.  Both
+    kernels perform the identical floating-point operations on nonzero
+    entries, so the result equals {!rref_dense}'s bit for bit (up to the
+    sign of zero entries). *)
 val rref_sparse : ?tol:float -> Matrix.t -> rref
 
-(** [rank ?tol m] is the numerical rank. *)
+(** [rank ?tol m] is the numerical rank, via {!rref_dense}. *)
 val rank : ?tol:float -> Matrix.t -> int
-
-(** [solve ?tol a b] solves the square system [a · x = b].
-    @raise Invalid_argument if [a] is not square or sizes mismatch.
-    @raise Failure if [a] is singular at tolerance [tol]. *)
-val solve : ?tol:float -> Matrix.t -> float array -> float array
-
-(** [inverse ?tol a] is the inverse of a square matrix.
-    @raise Failure if singular. *)
-val inverse : ?tol:float -> Matrix.t -> Matrix.t

@@ -47,34 +47,20 @@ let extract_basis ~n ~rank ~pivot_cols ~get =
     free_cols;
   out
 
-let basis ?tol ?(backend = `Auto) m =
+let basis ?tol ?(backend = `Dense) m =
   Obs.Metrics.incr c_recomputes;
-  let nr = Matrix.rows m and n = Matrix.cols m in
-  let use_sparse =
-    match backend with
-    | `Sparse -> true
-    | `Dense -> false
-    | `Auto ->
-        nr * n >= Sparse.auto_size_floor
-        &&
-        let nnz = ref 0 in
-        for i = 0 to nr - 1 do
-          for j = 0 to n - 1 do
-            if Matrix.unsafe_get m i j <> 0.0 then incr nnz
-          done
-        done;
-        Sparse.prefers_sparse ~rows:nr ~cols:n ~nnz:!nnz
-  in
-  if use_sparse then
-    let { Sparse_gauss.reduced; pivot_cols; rank } =
-      Sparse_gauss.rref ?tol (Sparse.of_matrix m)
-    in
-    extract_basis ~n ~rank ~pivot_cols ~get:(fun piv fc ->
-        Sparse.get reduced piv fc)
-  else
-    let { Gauss.reduced; pivot_cols; rank } = Gauss.rref_dense ?tol m in
-    extract_basis ~n ~rank ~pivot_cols ~get:(fun piv fc ->
-        Matrix.get reduced piv fc)
+  let n = Matrix.cols m in
+  match backend with
+  | `Sparse ->
+      let { Sparse_gauss.reduced; pivot_cols; rank } =
+        Sparse_gauss.rref ?tol (Sparse.of_matrix m)
+      in
+      extract_basis ~n ~rank ~pivot_cols ~get:(fun piv fc ->
+          Sparse.get reduced piv fc)
+  | `Dense ->
+      let { Gauss.reduced; pivot_cols; rank } = Gauss.rref_dense ?tol m in
+      extract_basis ~n ~rank ~pivot_cols ~get:(fun piv fc ->
+          Matrix.get reduced piv fc)
 
 let nullity ?tol m = Matrix.cols (basis ?tol m)
 
@@ -247,18 +233,6 @@ let update ?(tol = default_tol) n r =
    [u_c = N · g_c] is maintained in place at O(nnz(pivot column)) per
    accepted row. *)
 
-let env_witness_k () =
-  match Sys.getenv_opt "TOMO_WITNESS_K" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= 0 -> min v 16
-      | _ -> 2)
-  | None -> 2
-
-let default_k = ref (env_witness_k ())
-let default_witness_k () = !default_k
-let set_default_witness_k k = default_k := min (max 0 k) 16
-
 (* Witness coefficients are drawn from seeded streams keyed only by the
    tracker dimension and witness index, so a tracker's behaviour never
    depends on how many trackers the process created before it (streaming
@@ -297,8 +271,13 @@ type tracker = {
 
 let default_witness_tol_factor = 1e-4
 
+(* Two witnesses pay for themselves on the paper-scale selections; 0
+   leaves only the exact test (the reference path of the parity
+   batteries). *)
+let default_witness_count = 2
+
 let make_tracker ~tol ~witness_k ~witness_tol ~nvars ~p ~colbuf ~weights =
-  let k = match witness_k with Some k -> min (max 0 k) 16 | None -> !default_k in
+  let k = min (max 0 witness_k) 16 in
   let wtol =
     match witness_tol with Some w -> w | None -> tol *. default_witness_tol_factor
   in
@@ -332,7 +311,8 @@ let make_tracker ~tol ~witness_k ~witness_tol ~nvars ~p ~colbuf ~weights =
     wit_dot = Array.make (max 1 k) 0.0;
   }
 
-let tracker ?(tol = default_tol) ?witness_k ?witness_tol nvars =
+let tracker ?(tol = default_tol) ?(witness_k = default_witness_count)
+    ?witness_tol nvars =
   if nvars < 0 then invalid_arg "Nullspace.tracker: negative dimension";
   let colbuf = Array.make (max 1 (nvars * nvars)) 0.0 in
   for k = 0 to nvars - 1 do
@@ -341,7 +321,8 @@ let tracker ?(tol = default_tol) ?witness_k ?witness_tol nvars =
   let weights = Array.make nvars (if 1.0 > tol then 1 else 0) in
   make_tracker ~tol ~witness_k ~witness_tol ~nvars ~p:nvars ~colbuf ~weights
 
-let tracker_of_matrix ?(tol = default_tol) ?witness_k ?witness_tol m =
+let tracker_of_matrix ?(tol = default_tol) ?(witness_k = default_witness_count)
+    ?witness_tol m =
   let nvars = Matrix.rows m and p = Matrix.cols m in
   let colbuf = Array.make (max 1 (p * nvars)) 0.0 in
   for k = 0 to p - 1 do

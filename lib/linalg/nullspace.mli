@@ -12,14 +12,11 @@
     null space of the [r × n] matrix [m] ([p] = nullity).  When the null
     space is trivial the result has [0] columns.
 
-    [backend] picks the elimination kernel: [`Auto] (default) applies
-    {!Sparse.prefers_sparse} — big, sparse systems eliminate via
-    {!Sparse_gauss} and extract the basis straight from the sparse
-    reduced form, everything else stays on {!Gauss.rref_dense};
-    [`Dense] and [`Sparse] force a kernel (benchmarks and equivalence
-    tests).  All three produce the same basis bit for bit. *)
-val basis :
-  ?tol:float -> ?backend:[ `Auto | `Dense | `Sparse ] -> Matrix.t -> Matrix.t
+    [backend] picks the elimination kernel: [`Dense] (default) runs
+    {!Gauss.rref_dense}; [`Sparse] eliminates via {!Sparse_gauss} and
+    extracts the basis straight from the sparse reduced form (benchmarks
+    and equivalence tests).  Both produce the same basis bit for bit. *)
+val basis : ?tol:float -> ?backend:[ `Dense | `Sparse ] -> Matrix.t -> Matrix.t
 
 (** [nullity ?tol m] is [cols (basis m)]. *)
 val nullity : ?tol:float -> Matrix.t -> int
@@ -98,21 +95,18 @@ type tracker
     default produce the same selections bit for bit (enforced by the
     qcheck parity battery and the bench startup gate).
 
-    [k] defaults to [TOMO_WITNESS_K] (2 when unset; 0 disables the
-    prefilter).  The witness coefficients are derived from seeded
+    [k] is 2 unless given; [witness_k = 0] disables the prefilter and
+    leaves only the exact test, the reference path the parity batteries
+    compare against.  The witness coefficients are derived from seeded
     {!Tomo_util.Rng.split_int} streams keyed by the tracker dimension
     and witness index only, so decisions never depend on how many
     trackers the process created before. *)
 
-(** Process default for [k], initialized from [TOMO_WITNESS_K]. *)
-val default_witness_k : unit -> int
-
-val set_default_witness_k : int -> unit
-
 (** [tracker ?tol ?witness_k ?witness_tol n] starts from the identity
     basis: the null space of the empty system over [n] variables.
-    [witness_k] overrides {!default_witness_k}; [witness_tol] overrides
-    the witness-dot rejection threshold ([tol · 1e-4]). *)
+    [witness_k] (default 2, clamped to [0..16]) is the number of witness
+    vectors; [witness_tol] overrides the witness-dot rejection threshold
+    ([tol · 1e-4]). *)
 val tracker : ?tol:float -> ?witness_k:int -> ?witness_tol:float -> int -> tracker
 
 (** [tracker_of_matrix ?tol ?witness_k ?witness_tol m] adopts the

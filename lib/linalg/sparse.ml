@@ -345,32 +345,6 @@ let drop_col_entries a j ~from_row =
     end
   done
 
-(* ------------------------------------------------------------------ *)
-(* Routing policy                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let auto_size_floor = 4096
-let default_density_threshold = 0.25
-
-let clamp01 x = max 0.0 (min 1.0 x)
-
-let threshold =
-  ref
-    (match Sys.getenv_opt "TOMO_SPARSE_THRESHOLD" with
-    | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some v -> clamp01 v
-        | None -> default_density_threshold)
-    | None -> default_density_threshold)
-
-let density_threshold () = !threshold
-let set_density_threshold t = threshold := clamp01 t
-
-let prefers_sparse ~rows ~cols ~nnz =
-  let total = rows * cols in
-  total >= auto_size_floor
-  && float_of_int nnz <= !threshold *. float_of_int total
-
 let pp ppf a =
   Format.fprintf ppf "@[<v>%dx%d, %d nnz" a.r a.c (nnz a);
   for i = 0 to a.r - 1 do

@@ -119,30 +119,5 @@ val sub_scaled_row : t -> dst:int -> src:int -> coeff:float -> unit
     a numerically dead pivot column. *)
 val drop_col_entries : t -> int -> from_row:int -> unit
 
-(** {1 Routing policy}
-
-    The dense entry points ({!Gauss.rref}, {!Nullspace.basis}) switch to
-    the sparse kernel automatically when the input is big enough for the
-    asymptotics to win and sparse enough for the stored work to be small.
-    The density threshold is process-global: settable here, initialised
-    from [TOMO_SPARSE_THRESHOLD] (a float in [0, 1]; [0] disables the
-    sparse path entirely). *)
-
-(** Matrices with fewer than [auto_size_floor] entries always stay on the
-    dense kernel — below it the dense sweep is cache-resident and the
-    sparse bookkeeping is pure overhead. *)
-val auto_size_floor : int
-
-(** Current density threshold (default [0.25]): auto-routed inputs take
-    the sparse kernel when [density ≤ threshold]. *)
-val density_threshold : unit -> float
-
-(** [set_density_threshold t] clamps [t] to [0, 1] and installs it. *)
-val set_density_threshold : float -> unit
-
-(** [prefers_sparse ~rows ~cols ~nnz] is the routing predicate used by
-    the auto entry points. *)
-val prefers_sparse : rows:int -> cols:int -> nnz:int -> bool
-
 (** [pp] prints stored entries as [(i, j) = v] lines (debugging aid). *)
 val pp : Format.formatter -> t -> unit

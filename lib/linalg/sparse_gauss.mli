@@ -1,6 +1,6 @@
 (** Gaussian elimination over {!Sparse} storage.
 
-    Same algorithm as {!Gauss.rref} — partial pivoting on the largest
+    Same algorithm as {!Gauss.rref_dense} — partial pivoting on the largest
     absolute entry of the column (selected among the stored nonzeros),
     rank decisions at a tolerance relative to the largest input entry —
     but every row operation walks only the stored entries.  The
@@ -8,23 +8,23 @@
     the dense kernel's, and the entries the dense kernel merely copies
     (a zero in the pivot row contributes [x −. coeff ·. 0.0 = x]) are
     skipped, so the reduced matrix is bit-identical to
-    {!Gauss.rref}'s up to the sign of zero entries.  On the tomography
+    {!Gauss.rref_dense}'s up to the sign of zero entries.  On the tomography
     incidence systems (≥95% zeros at paper scale) the stored work is a
     small fraction of the dense sweep. *)
 
-(** Result of [rref], mirroring {!Gauss.rref}. *)
+(** Result of [rref], mirroring {!Gauss.rref_dense}. *)
 type rref = {
   reduced : Sparse.t;  (** the reduced row-echelon form *)
   pivot_cols : int list;  (** pivot column indices, in row order *)
   rank : int;
 }
 
-(** Default tolerance, identical to {!Gauss.rref}'s ([1e-10]). *)
+(** Default tolerance, identical to {!Gauss.rref_dense}'s ([1e-10]). *)
 val default_tol : float
 
 (** [rref ?tol a] computes the reduced row-echelon form of a copy of
     [a].  [tol] (default [1e-10]) scales with the largest absolute input
-    entry exactly as in {!Gauss.rref}. *)
+    entry exactly as in {!Gauss.rref_dense}. *)
 val rref : ?tol:float -> Sparse.t -> rref
 
 (** [rank ?tol a] is the numerical rank. *)

@@ -721,7 +721,7 @@ let prop_selection_witness_parity =
       let off =
         Algorithm1.select
           ~config:
-            { Algorithm1.default_config with Algorithm1.witness_k = Some 0 }
+            { Algorithm1.default_config with Algorithm1.witness_k = 0 }
           model obs
       in
       let rows_equal =

@@ -252,38 +252,20 @@ let test_enumerate_budget_cap () =
   (* A 6-link chain covered by one path: nothing of size <= 3 is
      inducible, and the visit budget (limit_per_set * 4 = 4) runs out
      during size 1 with subsets left — the truncation the old code
-     forgot to count.  With pruning the skipped visits are charged
-     arithmetically, so the counter and result are identical; only
-     [ident_pruned_sets] records the saved work. *)
+     forgot to count. *)
   let m =
     Model.make ~n_links:6
       ~paths:[| [| 0; 1; 2; 3; 4; 5 |] |]
       ~corr_sets:[| [| 0; 1; 2; 3; 4; 5 |] |]
   in
   let eff = all_effective m in
-  let saved = Subsets.ident_prune_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Subsets.set_ident_prune saved)
-    (fun () ->
-      List.iter
-        (fun prune ->
-          Subsets.set_ident_prune prune;
-          with_metrics (fun () ->
-              let subsets =
-                Subsets.enumerate m ~effective:eff ~max_size:3
-                  ~limit_per_set:1
-              in
-              let tag = if prune then "pruned" else "exhaustive" in
-              check_int (tag ^ ": nothing found") 0 (List.length subsets);
-              check_int
-                (tag ^ ": budget truncation counted once")
-                1
-                (counter "subsets_enumeration_capped");
-              check_int
-                (tag ^ ": pruned visits recorded")
-                (if prune then 4 else 0)
-                (counter "ident_pruned_sets")))
-        [ false; true ])
+  with_metrics (fun () ->
+      let subsets =
+        Subsets.enumerate m ~effective:eff ~max_size:3 ~limit_per_set:1
+      in
+      check_int "exhaustive: nothing found" 0 (List.length subsets);
+      check_int "exhaustive: budget truncation counted once" 1
+        (counter "subsets_enumeration_capped"))
 
 (* ------------------------------------------------------------------ *)
 (* Direct array filters vs the list-based originals                    *)

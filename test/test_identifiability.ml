@@ -6,15 +6,12 @@
    union-closure of path signatures.  Both have obvious O(2^n) oracles
    on small random topologies: group links by their literal path sets,
    and test [Subsets.inducible] on every combination.  The properties
-   here pin the closure to those oracles, and pin the enumeration
-   pruner to the exhaustive fan-out it claims to be bit-identical
-   to. *)
+   here pin the closure to those oracles. *)
 
 module Bitset = Tomo_util.Bitset
 module Combin = Tomo_util.Combin
 module Rng = Tomo_util.Rng
 module Model = Tomo.Model
-module Observations = Tomo.Observations
 module Subsets = Tomo.Subsets
 module Identifiability = Tomo.Identifiability
 
@@ -181,70 +178,6 @@ let prop_max_identifiable_size_sound =
               = List.length coverages)
         t.Identifiability.corr)
 
-(* The pruner's contract: the enumerated subset list and the truncation
-   counter are bit-identical with pruning on and off, including under
-   tight find caps and visit budgets. *)
-let enumerate_with ~prune m ~effective ~max_size ~limit_per_set =
-  let saved = Subsets.ident_prune_enabled () in
-  Subsets.set_ident_prune prune;
-  Fun.protect
-    ~finally:(fun () -> Subsets.set_ident_prune saved)
-    (fun () ->
-      Tomo_obs.Metrics.set_enabled true;
-      Tomo_obs.Metrics.reset ();
-      let subsets = Subsets.enumerate m ~effective ~max_size ~limit_per_set in
-      let capped =
-        Tomo_obs.Metrics.counter_value
-          (Tomo_obs.Metrics.counter "subsets_enumeration_capped")
-      in
-      Tomo_obs.Metrics.set_enabled false;
-      Tomo_obs.Metrics.reset ();
-      (List.map Subsets.key subsets, capped))
-
-let prop_pruned_enumeration_identical =
-  QCheck.Test.make ~name:"pruned enumeration bit-identical to exhaustive"
-    ~count:100
-    QCheck.(pair small_int (int_range 1 6))
-    (fun (seed, limit_per_set) ->
-      let rng = Rng.create (9973 * (seed + 1)) in
-      let m = random_model rng in
-      let eff = random_effective rng m in
-      enumerate_with ~prune:true m ~effective:eff ~max_size:3 ~limit_per_set
-      = enumerate_with ~prune:false m ~effective:eff ~max_size:3
-          ~limit_per_set)
-
-(* End-to-end: the full Correlation-complete pipeline over random
-   observations must produce bit-identical estimates either way. *)
-let prop_pruned_estimates_identical =
-  QCheck.Test.make ~name:"pruned pipeline estimates bit-identical"
-    ~count:25 QCheck.small_int (fun seed ->
-      let rng = Rng.create (524287 * (seed + 1)) in
-      let m = random_model rng in
-      let t_intervals = 12 in
-      let obs = Observations.create ~t_intervals ~n_paths:m.Model.n_paths in
-      for i = 0 to t_intervals - 1 do
-        let good = Bitset.create m.Model.n_paths in
-        for p = 0 to m.Model.n_paths - 1 do
-          if Rng.bool rng ~p:0.7 then Bitset.set good p
-        done;
-        Observations.set_interval_statuses obs ~interval:i ~good
-      done;
-      let compute prune =
-        let saved = Subsets.ident_prune_enabled () in
-        Subsets.set_ident_prune prune;
-        Fun.protect
-          ~finally:(fun () -> Subsets.set_ident_prune saved)
-          (fun () -> fst (Tomo.Correlation_complete.compute m obs))
-      in
-      let on = compute true and off = compute false in
-      let open Tomo.Pc_result in
-      Array.for_all2
-        (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-        on.marginals off.marginals
-      && on.identifiable = off.identifiable
-      && on.n_rows = off.n_rows
-      && on.n_vars = off.n_vars)
-
 (* Deterministic spot checks on hand-built topologies. *)
 
 let test_chain_not_identifiable () =
@@ -306,11 +239,6 @@ let () =
           qc prop_analyze_counts_match_oracle;
           qc prop_ambiguity_classes_match_oracle;
           qc prop_max_identifiable_size_sound;
-        ] );
-      ( "pruning",
-        [
-          qc prop_pruned_enumeration_identical;
-          qc prop_pruned_estimates_identical;
         ] );
       ( "topologies",
         [

@@ -157,39 +157,6 @@ let test_gauss_rank () =
   in
   check_int "rank-1 matrix" 1 (Gauss.rank deficient)
 
-let test_gauss_solve () =
-  let a = Matrix.of_rows [| [| 2.; 1. |]; [| 1.; 3. |] |] in
-  let x = Gauss.solve a [| 5.; 10. |] in
-  checkf "x0" 1.0 x.(0);
-  checkf "x1" 3.0 x.(1)
-
-let test_gauss_singular () =
-  let a = Matrix.of_rows [| [| 1.; 1. |]; [| 2.; 2. |] |] in
-  Alcotest.check_raises "singular" (Failure "Gauss.solve: singular matrix")
-    (fun () -> ignore (Gauss.solve a [| 1.; 2. |]))
-
-let test_gauss_inverse () =
-  let a = Matrix.of_rows [| [| 4.; 7. |]; [| 2.; 6. |] |] in
-  let inv = Gauss.inverse a in
-  let prod = Matrix.mul a inv in
-  check_bool "A·A⁻¹ = I" true
-    (Matrix.equal_approx ~tol:1e-9 prod (Matrix.identity 2))
-
-let prop_gauss_solve_random =
-  QCheck.Test.make ~name:"Gauss.solve solves random well-conditioned systems"
-    ~count:100 (QCheck.int_range 1 15) (fun n ->
-      let rng = Rng.create (n * 31) in
-      (* Diagonally dominant => nonsingular and well conditioned. *)
-      let a =
-        Matrix.init n n (fun i j ->
-            if i = j then 10.0 +. Rng.float rng 1.0
-            else Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
-      in
-      let x_true = Array.init n (fun _ -> Rng.uniform rng ~lo:(-5.) ~hi:5.) in
-      let b = Matrix.mul_vec a x_true in
-      let x = Gauss.solve a b in
-      Array.for_all2 (fun u v -> abs_float (u -. v) < 1e-6) x x_true)
-
 let prop_rank_product_bound =
   QCheck.Test.make ~name:"rank(AB) <= min(rank A, rank B) via low-rank build"
     ~count:50
@@ -617,24 +584,6 @@ let test_sparse_row_ops () =
   checkf "dropped" 0.0 (Sparse.get a 2 1);
   checkf "kept above from_row" 1.0 (Sparse.get a 0 1)
 
-let test_sparse_routing_policy () =
-  let saved = Sparse.density_threshold () in
-  Fun.protect
-    ~finally:(fun () -> Sparse.set_density_threshold saved)
-    (fun () ->
-      Sparse.set_density_threshold 0.25;
-      check_bool "small stays dense" false
-        (Sparse.prefers_sparse ~rows:10 ~cols:10 ~nnz:1);
-      check_bool "big sparse routes sparse" true
-        (Sparse.prefers_sparse ~rows:100 ~cols:100 ~nnz:500);
-      check_bool "big dense stays dense" false
-        (Sparse.prefers_sparse ~rows:100 ~cols:100 ~nnz:5000);
-      Sparse.set_density_threshold 0.0;
-      check_bool "zero threshold disables" false
-        (Sparse.prefers_sparse ~rows:100 ~cols:100 ~nnz:1);
-      Sparse.set_density_threshold 7.0;
-      checkf "clamped to 1" 1.0 (Sparse.density_threshold ()))
-
 let prop_sparse_rref_bit_identical_incidence =
   QCheck.Test.make
     ~name:"sparse rref ≡ dense rref on 0/1 incidence matrices (exact)"
@@ -718,11 +667,11 @@ let prop_cgls_sparse_bit_identical =
 (* Gauss edge cases pinning the kernels the sparse layer must mirror. *)
 
 let test_gauss_edge_1x1 () =
-  let one = Gauss.rref (Matrix.of_rows [| [| 5.0 |] |]) in
+  let one = Gauss.rref_dense (Matrix.of_rows [| [| 5.0 |] |]) in
   check_int "1x1 rank" 1 one.Gauss.rank;
   checkf "normalized pivot" 1.0 (Matrix.get one.Gauss.reduced 0 0);
   check_bool "pivot col" true (one.Gauss.pivot_cols = [ 0 ]);
-  let zero = Gauss.rref (Matrix.of_rows [| [| 0.0 |] |]) in
+  let zero = Gauss.rref_dense (Matrix.of_rows [| [| 0.0 |] |]) in
   check_int "1x1 zero rank" 0 zero.Gauss.rank;
   check_bool "no pivots" true (zero.Gauss.pivot_cols = [])
 
@@ -735,15 +684,6 @@ let test_gauss_all_zero () =
   check_bool "reduced stays zero" true
     (matrices_exact m (Sparse.to_matrix s.Sparse_gauss.reduced));
   check_int "full nullity" 4 (Nullspace.nullity m)
-
-let test_gauss_singular_inverse () =
-  let a = Matrix.of_rows [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  Alcotest.check_raises "singular inverse"
-    (Failure "Gauss.inverse: singular matrix") (fun () ->
-      ignore (Gauss.inverse a));
-  Alcotest.check_raises "singular solve"
-    (Failure "Gauss.solve: singular matrix") (fun () ->
-      ignore (Gauss.solve a [| 1.; 2. |]))
 
 let test_gauss_tolerance_scaling () =
   (* The rank tolerance is relative to the largest entry, so scaling a
@@ -907,19 +847,6 @@ let test_witness_defect_after_interleaving () =
   check_bool "witness defect below 1e-6" true
     (Nullspace.witness_defect wit < 1e-6)
 
-(* The TOMO_WITNESS_K default is a process-wide knob; trackers built
-   while it is 0 run the exact path. *)
-let test_witness_default_knob () =
-  let saved = Nullspace.default_witness_k () in
-  Fun.protect
-    ~finally:(fun () -> Nullspace.set_default_witness_k saved)
-    (fun () ->
-      Nullspace.set_default_witness_k 0;
-      check_int "k=0 disables" 0 (Nullspace.witness_count (Nullspace.tracker 5));
-      Nullspace.set_default_witness_k 3;
-      check_int "k=3 maintains 3 witnesses" 3
-        (Nullspace.witness_count (Nullspace.tracker 5)))
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "linalg"
@@ -944,10 +871,6 @@ let () =
       ( "gauss",
         [
           Alcotest.test_case "rank" `Quick test_gauss_rank;
-          Alcotest.test_case "solve" `Quick test_gauss_solve;
-          Alcotest.test_case "singular detection" `Quick test_gauss_singular;
-          Alcotest.test_case "inverse" `Quick test_gauss_inverse;
-          qc prop_gauss_solve_random;
           qc prop_rank_product_bound;
         ] );
       ( "qr",
@@ -1002,8 +925,6 @@ let () =
         [
           Alcotest.test_case "1x1 matrices" `Quick test_gauss_edge_1x1;
           Alcotest.test_case "all-zero matrix" `Quick test_gauss_all_zero;
-          Alcotest.test_case "singular solve/inverse raise" `Quick
-            test_gauss_singular_inverse;
           Alcotest.test_case "tolerance scales with magnitude" `Quick
             test_gauss_tolerance_scaling;
         ] );
@@ -1012,8 +933,6 @@ let () =
           Alcotest.test_case "dense round-trip" `Quick test_sparse_roundtrip;
           Alcotest.test_case "of_incidence" `Quick test_sparse_of_incidence;
           Alcotest.test_case "row operations" `Quick test_sparse_row_ops;
-          Alcotest.test_case "routing policy" `Quick
-            test_sparse_routing_policy;
           qc prop_sparse_rref_bit_identical_incidence;
           qc prop_sparse_rref_matches_dense_random;
           qc prop_sparse_nullspace_same_kernel;
@@ -1029,7 +948,5 @@ let () =
             test_witness_all_dependent_pool;
           Alcotest.test_case "defect after long interleaving" `Quick
             test_witness_defect_after_interleaving;
-          Alcotest.test_case "default-k knob" `Quick
-            test_witness_default_knob;
         ] );
     ]

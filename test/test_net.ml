@@ -627,21 +627,42 @@ let test_cli_rejects_bad_ingest_flags () =
           ("--ingest-policy", "sometimes");
         ])
 
-(* Replay inputs that cannot be read, a batch window that is
-   non-positive or longer than the trace, and a serve without exactly
-   one stream get the same one-line refusal and status instead of an
-   uncaught exception. *)
+(* Replay inputs that cannot be read, are malformed past the header or
+   do not fit the model, a batch window that is non-positive or longer
+   than the trace, a serve without exactly one stream, a missing
+   snapshot and a report that cannot be written get the same one-line
+   refusal and status instead of an uncaught exception. *)
 let test_cli_rejects_bad_replay_inputs () =
   with_tmpdir (fun dir ->
       let missing = Filename.concat dir "missing.trace"
       and empty = Filename.concat dir "empty.trace"
-      and short = Filename.concat dir "short.trace" in
+      and short = Filename.concat dir "short.trace"
+      and ragged = Filename.concat dir "ragged.trace"
+      and narrow = Filename.concat dir "narrow.trace"
+      and missing_snap = Filename.concat dir "missing.snap"
+      and unwritable =
+        Filename.concat (Filename.concat dir "no-such-dir") "out.report"
+      in
       close_out (open_out empty);
+      let write path text =
+        let oc = open_out path in
+        output_string oc text;
+        close_out oc
+      in
+      write narrow "tomo-trace v1\npaths 3\ntick 0 101\n";
       let model = [ "--scale"; "small"; "--seed"; "7" ] in
       check_int "gen-trace exit code" 0
         (fst
            (run_cli
               (("gen-trace" :: model) @ [ "--intervals"; "5"; "--out"; short ])));
+      (* the short trace with one tick cut short by a path, mid-file *)
+      write ragged
+        (String.concat "\n"
+           (List.mapi
+              (fun i line ->
+                if i = 4 then String.sub line 0 (String.length line - 1)
+                else line)
+              (String.split_on_char '\n' (read_file short))));
       List.iter
         (fun (cmd, args, needle) ->
           let args = (cmd :: model) @ args in
@@ -662,6 +683,16 @@ let test_cli_rejects_bad_replay_inputs () =
           ("batch-report", [ "--replay"; short; "--window"; "40" ], short);
           ("serve", [ "--replay"; short; "--ingest"; missing ], "--ingest");
           ("serve", [], "--replay");
+          ("batch-report", [ "--replay"; ragged; "--window"; "2" ], ragged);
+          ("serve", [ "--replay"; ragged; "--window"; "2" ], ragged);
+          ("batch-report", [ "--replay"; narrow; "--window"; "1" ], narrow);
+          ("serve", [ "--replay"; narrow; "--window"; "1" ], narrow);
+          ( "serve",
+            [ "--replay"; short; "--snapshot-in"; missing_snap ],
+            missing_snap );
+          ( "batch-report",
+            [ "--replay"; short; "--window"; "5"; "--report-out"; unwritable ],
+            unwritable );
         ])
 
 (* ------------------------------------------------------------------ *)
