@@ -314,8 +314,7 @@ let replay_arg =
     & info [ "replay" ] ~docv:"FILE"
         ~doc:
           "Measurement stream to replay: a tomo-trace file (\"-\" for \
-           stdin) or an archived tomo-observations file (detected by \
-           header).")
+           stdin).")
 
 let replay_opt_arg =
   Arg.(
@@ -324,8 +323,7 @@ let replay_opt_arg =
     & info [ "replay" ] ~docv:"FILE"
         ~doc:
           "Measurement stream to replay: a tomo-trace file (\"-\" for \
-           stdin) or an archived tomo-observations file (detected by \
-           header). Mutually exclusive with --ingest.")
+           stdin). Mutually exclusive with --ingest.")
 
 let window_arg =
   Arg.(
@@ -552,28 +550,18 @@ let require_positive ~flag v =
     usage_error
       (Printf.sprintf "%s must be a positive integer (got %d)" flag v)
 
-(* Sniff the stream format so `serve --replay` accepts both the
-   line-per-interval trace format and archived batch observations (an
-   unknown or missing header names both accepted formats).  The
-   returned source reports a malformed tick the same way as an
-   unreadable header: the [file:line] message behind [--replay: ]. *)
+(* A replay file that cannot be opened, lacks the tomo-trace header or
+   carries a malformed tick is a user mistake reported as
+   [--replay: file:line: ...]; [replay_next] is the reader's [next] with
+   that report, for the loops that drain the file. *)
+let replay_error msg = usage_error ("--replay: " ^ msg)
+
 let open_replay_source path =
-  let replay_error msg = usage_error ("--replay: " ^ msg) in
-  let source =
-    try Stream.Source.of_replay_file path
-    with Sys_error msg | Failure msg -> replay_error msg
-  in
-  let module Checked = struct
-    type conn = Stream.Source.t
+  try Stream.Source.of_trace_file path
+  with Sys_error msg | Failure msg -> replay_error msg
 
-    let n_paths = Stream.Source.n_paths
-
-    let next c =
-      try Stream.Source.next c with Failure msg -> replay_error msg
-
-    let close = Stream.Source.close
-  end in
-  Stream.Source.Source ((module Checked), source)
+let replay_next source () =
+  try Stream.Source.next source with Failure msg -> replay_error msg
 
 let check_source_paths ~replay source model =
   let sp = Stream.Source.n_paths source
@@ -643,17 +631,7 @@ type published_status = {
 
 let json_str s =
   let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
+  Tomo_obs.Sink.json_string b s;
   Buffer.contents b
 
 let start_telemetry ~spec ~scale ~seed ~topology ~replay ~window engine =
@@ -748,7 +726,10 @@ let run_serve_replay scale seed topology replay window snapshot_in
   check_source_paths ~replay source model;
   let already = Stream.Engine.ticks engine in
   if already > 0 then begin
-    let skipped = Stream.Source.drop source already in
+    let skipped =
+      try Stream.Source.drop source already
+      with Failure msg -> replay_error msg
+    in
     if skipped < already then
       usage_error
         (Printf.sprintf
@@ -769,8 +750,8 @@ let run_serve_replay scale seed topology replay window snapshot_in
               e.Stream.Engine.result.Tomo.Pc_result.n_vars)
   in
   let last =
-    Stream.Engine.run ?snapshot_out ~snapshot_every ?max_ticks engine source
-      ~on_tick
+    Stream.Engine.run ?snapshot_out ~snapshot_every ?max_ticks engine
+      ~next:(replay_next source) ~on_tick
   in
   Stream.Source.close source;
   publish engine;
@@ -991,7 +972,10 @@ let run_batch_report scale seed topology replay window report_out =
   let model = model_for scale seed topology in
   let source = open_replay_source replay in
   check_source_paths ~replay source model;
-  let cols = List.rev (Stream.Source.fold source (fun acc c -> c :: acc) []) in
+  let cols =
+    try List.rev (Stream.Source.fold source (fun acc c -> c :: acc) [])
+    with Failure msg -> replay_error msg
+  in
   Stream.Source.close source;
   let total = List.length cols in
   if total < window then

@@ -16,8 +16,8 @@ let init r c f =
 
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
-(* Diagnostics in the same [file:line: message] shape as the
-   Observations_io loaders, so a bad fixture names its rejection site. *)
+(* Diagnostics in the same [file:line: message] shape as the trace
+   reader's, so a bad fixture names its rejection site. *)
 let fail_at (file, line, _, _) msg =
   invalid_arg (Printf.sprintf "%s:%d: %s" file line msg)
 

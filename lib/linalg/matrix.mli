@@ -22,7 +22,7 @@ val identity : int -> t
 (** [of_rows rows] builds a matrix from row vectors.
     @raise Invalid_argument if rows have unequal lengths or there are no
     rows; the message carries a [file:line:] prefix naming the rejection
-    site (the same shape as the {!Observations_io} loader errors). *)
+    site (the same shape as the trace reader's [file:line] errors). *)
 val of_rows : float array array -> t
 
 (** [to_rows m] is the matrix as an array of fresh row arrays. *)

@@ -73,7 +73,6 @@ type t
     @raise Invalid_argument if [window], [queue_capacity] or
       [snapshot_every] is not positive. *)
 val create :
-  ?select_config:Tomo.Algorithm1.config ->
   ?pool:Tomo_par.Pool.t ->
   ?queue_capacity:int ->
   ?policy:policy ->

@@ -1,10 +1,9 @@
 (** Replayable measurement traces: the observable half of a simulation
     run serialized one measurement interval per line, in arrival order.
 
-    This is the wire format the streaming engine's replay source
-    ({!Tomo_stream.Source}) consumes — line-oriented so a trace can be
-    replayed from a file, piped through stdin, or later fed from a
-    socket without framing changes:
+    This is the one measurement input format: the replay reader
+    ({!Tomo_stream.Source}) consumes it line by line from a file or
+    stdin, and the socket ingestion plane one record per frame:
 
     {v
     tomo-trace v1
@@ -13,9 +12,9 @@
     v}
 
     The status string has one character per {e path}, ['1'] = good,
-    ['0'] = congested — the transpose of {!Tomo.Observations_io}'s
-    batch format, because a streaming consumer receives whole intervals,
-    not whole path histories. *)
+    ['0'] = congested — one interval's column of the batch
+    {!Tomo.Observations} matrix, because a streaming consumer receives
+    whole intervals, not whole path histories. *)
 
 (** [interval_statuses result ~interval] is one interval's column of path
     statuses (bit [p] set iff path [p] was good) — the batch a streaming

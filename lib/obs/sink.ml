@@ -10,7 +10,10 @@ let metrics_out () = !metrics_path
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape buf s =
+(* UTF-8 passes through untouched (JSON strings are unicode); only the
+   structural characters and control bytes need escaping. *)
+let json_string buf s =
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -22,11 +25,7 @@ let json_escape buf s =
       | c when Char.code c < 0x20 ->
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    s
-
-let json_string buf s =
-  Buffer.add_char buf '"';
-  json_escape buf s;
+    s;
   Buffer.add_char buf '"'
 
 (* JSON has no infinities; clamp degenerate histogram bounds to null. *)
@@ -212,26 +211,23 @@ let nonfatal what f =
     record_error (Printf.sprintf "cannot write %s: %s" what msg);
     Printf.eprintf "tomo_obs: cannot write %s: %s\n%!" what msg
 
-(* Atomic write for snapshot-shaped outputs: a scrape or kill between
-   open and close must never observe a torn file, so write a sibling
-   temp file and rename it over the target. *)
+(* Write a sibling temp file and rename it over the target, so a
+   scrape, reader or kill between open and close never observes a torn
+   file; a failed write removes its temp file. *)
 let write_atomic path content =
-  match path with
-  | "-" ->
-      output_string stdout content;
-      Stdlib.flush stdout
-  | path ->
-      let dir = Filename.dirname path in
-      let tmp = Filename.temp_file ~temp_dir:dir ".tomo_metrics" ".tmp" in
-      let oc = open_out tmp in
-      (try
-         output_string oc content;
-         close_out oc
-       with e ->
-         close_out_noerr oc;
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e);
-      Sys.rename tmp path
+  let tmp =
+    Filename.temp_file ~temp_dir:(Filename.dirname path)
+      ("." ^ Filename.basename path) ".tmp"
+  in
+  let oc = open_out tmp in
+  (try
+     output_string oc content;
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  Sys.rename tmp path
 
 (* The body runs under [flush_lock]: a periodic flusher thread and an
    exiting main thread may both call [flush], and each completed span /
@@ -273,9 +269,15 @@ let flush () =
       end);
   match !metrics_path with
   | None -> ()
-  | Some path ->
-      nonfatal ("metrics file " ^ path) (fun () ->
-          write_atomic path (snapshot_json (Metrics.snapshot ()) ^ "\n"))
+  | Some path -> (
+      let content = snapshot_json (Metrics.snapshot ()) ^ "\n" in
+      match path with
+      | "-" ->
+          output_string stdout content;
+          Stdlib.flush stdout
+      | path ->
+          nonfatal ("metrics file " ^ path) (fun () ->
+              write_atomic path content))
 
 let mode_of_env () =
   match Sys.getenv_opt "TOMO_TRACE" with

@@ -49,6 +49,19 @@ val spans_jsonl : Buffer.t -> Trace.span list -> unit
     power-of-two buckets ({!Metrics.quantile}); [null] when empty. *)
 val snapshot_json : Metrics.snapshot -> string
 
+(** [json_string buf s] appends [s] as a JSON string literal: quotes,
+    backslashes and control bytes escaped ([\n], [\t], [\r] short,
+    the rest as [\u00XX]), UTF-8 passed through.  The one escaper
+    behind every JSON line and document the process writes. *)
+val json_string : Buffer.t -> string -> unit
+
+(** [write_atomic path content] writes [content] to a temp file beside
+    [path] and renames it over [path], so a concurrent reader or a kill
+    mid-write never observes a torn file.  A failed write or close
+    removes the temp file and re-raises.
+    @raise Sys_error if the directory is missing or unwritable. *)
+val write_atomic : string -> string -> unit
+
 (** Write everything to the configured sinks, draining recorded spans.
     Thread-safe and idempotent: concurrent callers serialize on an
     internal lock, spans are emitted exactly once

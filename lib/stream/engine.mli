@@ -1,7 +1,7 @@
 (** The online sliding-window tomography engine.
 
     Ingests path-observation batches one measurement interval at a time
-    (from any {!Source}), maintains a bounded sliding {!Window}, and
+    (from a {!Source} replay or a socket peer), maintains a bounded sliding {!Window}, and
     estimates Correlation-complete congestion probabilities over it by
     reusing the batch machinery ({!Tomo.Algorithm1} +
     {!Tomo.Prob_engine}) — never from scratch:
@@ -50,15 +50,10 @@ type estimate = {
       (** the solved system, for subset/pattern queries *)
 }
 
-(** [create ?select_config ~model ~window ()] is an empty engine whose
-    sliding window holds [window] intervals.
+(** [create ~model ~window ()] is an empty engine whose sliding window
+    holds [window] intervals.
     @raise Invalid_argument if [window <= 0]. *)
-val create :
-  ?select_config:Tomo.Algorithm1.config ->
-  model:Tomo.Model.t ->
-  window:int ->
-  unit ->
-  t
+val create : model:Tomo.Model.t -> window:int -> unit -> t
 
 val window : t -> Window.t
 
@@ -105,32 +100,29 @@ val current : ?pool:Tomo_par.Pool.t -> t -> estimate option
 (** [snapshot t] captures resumable state; see {!Snapshot}. *)
 val snapshot : t -> Snapshot.t
 
-(** [of_snapshot ?select_config ~model snap] resumes: the next estimate
-    is bit-identical to an engine that never stopped.
+(** [of_snapshot ~model snap] resumes: the next estimate is
+    bit-identical to an engine that never stopped.
     @raise Invalid_argument if the snapshot's path count does not match
     the model. *)
-val of_snapshot :
-  ?select_config:Tomo.Algorithm1.config ->
-  model:Tomo.Model.t ->
-  Snapshot.t ->
-  t
+val of_snapshot : model:Tomo.Model.t -> Snapshot.t -> t
 
-(** [run ?pool ?snapshot_out ?snapshot_every ?max_ticks t source ~on_tick]
-    is the service loop: drain [source] through {!ingest}, calling
-    [on_tick] after every batch.  With [snapshot_out], a snapshot is
-    written (atomically) every [snapshot_every] ticks (default 1) and
-    once more at the stopping point.  [max_ticks] bounds how many
+(** [run ?snapshot_out ?snapshot_every ?max_ticks t ~next ~on_tick] is
+    the service loop: pull batches from [next] (for a replay,
+    [fun () -> Source.next src]) until it returns [None], feed each
+    through {!ingest}, and call [on_tick] after every batch.  With
+    [snapshot_out], a snapshot is written (atomically) every
+    [snapshot_every] ticks (default 1) and once more at the stopping
+    point.  [max_ticks] bounds how many
     batches {e this call} processes — the deterministic stand-in for a
     mid-stream kill.  Returns the last full-window estimate this call
     produced, if any.
     @raise Invalid_argument if [snapshot_every <= 0]. *)
 val run :
-  ?pool:Tomo_par.Pool.t ->
   ?snapshot_out:string ->
   ?snapshot_every:int ->
   ?max_ticks:int ->
   t ->
-  Source.t ->
+  next:(unit -> Tomo_util.Bitset.t option) ->
   on_tick:(t -> estimate option -> unit) ->
   estimate option
 

@@ -67,7 +67,9 @@ let feed t record =
           t.state <- Expect_paths;
           Header
         end
-        else fail t "unknown trace format: %S" line
+        else
+          fail t "unknown trace format: %S (expected a '%s' header)" line
+            header_magic
     | Expect_paths -> (
         match words line with
         | [ "paths"; n ] -> (

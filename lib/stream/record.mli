@@ -8,7 +8,7 @@
     tick <i> <statuses>    (one per interval, i ascending from 0)
     v}
 
-    The file/stdin replay source ({!Source.of_trace_file}) feeds one
+    The file/stdin replay reader ({!Source.of_trace_file}) feeds one
     {e line} per record; the socket ingestion plane ([Tomo_net]) feeds
     one {e frame payload} per record.  Both go through this parser, so
     the two transports cannot drift: a malformed record produces the
@@ -16,6 +16,9 @@
     it arrived from a file or a peer. *)
 
 type t
+
+(** The header record, ["tomo-trace v1"]. *)
+val header_magic : string
 
 type event =
   | Blank  (** empty (or all-whitespace) record; skipped *)
@@ -48,7 +51,7 @@ val next_tick : t -> int
 val feed : t -> string -> event
 
 (** [fail_at ~origin ~lineno fmt] raises [Failure "origin:lineno: ..."]
-    — the anchored-diagnostic convention shared by the replay sources
+    — the anchored-diagnostic convention shared by the replay reader
     and the socket decoder. *)
 val fail_at :
   origin:string -> lineno:int -> ('a, Format.formatter, unit, 'b) format4 -> 'a

@@ -1,40 +1,9 @@
 module Bitset = Tomo_util.Bitset
 module Obs = Tomo_obs
 
-module type S = sig
-  type conn
-
-  val n_paths : conn -> int
-  val next : conn -> Bitset.t option
-  val close : conn -> unit
-end
-
-type t = Source : (module S with type conn = 'c) * 'c -> t
-
-let n_paths (Source ((module M), conn)) = M.n_paths conn
-let next (Source ((module M), conn)) = M.next conn
-let close (Source ((module M), conn)) = M.close conn
-
-let fold source f init =
-  let rec go acc =
-    match next source with None -> acc | Some good -> go (f acc good)
-  in
-  go init
-
-let drop source n =
-  let rec go dropped =
-    if dropped >= n then dropped
-    else match next source with None -> dropped | Some _ -> go (dropped + 1)
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
-(* tomo-trace v1 over an input channel (file, stdin, or later a socket
-   stream — anything line-oriented).  The record grammar itself lives
-   in {!Record}, shared with the socket ingestion plane.               *)
-(* ------------------------------------------------------------------ *)
-
-type trace_conn = {
+(* tomo-trace v1 over an input channel.  The record grammar itself
+   lives in {!Record}, shared with the socket ingestion plane. *)
+type t = {
   ic : in_channel;
   owns_channel : bool;
   rcd : Record.t;
@@ -42,39 +11,48 @@ type trace_conn = {
   mutable eof : bool;
 }
 
-module Trace_source = struct
-  type conn = trace_conn
+let n_paths t = Option.value ~default:0 (Record.n_paths t.rcd)
 
-  let n_paths c = Option.value ~default:0 (Record.n_paths c.rcd)
+(* Feed lines until one carries a tick batch; [None] = clean EOF. *)
+let rec next t =
+  if t.closed || t.eof then None
+  else
+    match In_channel.input_line t.ic with
+    | None ->
+        t.eof <- true;
+        Obs.Events.emit "source_eof"
+          [
+            ("source", Record.origin t.rcd);
+            ("ticks", string_of_int (Record.next_tick t.rcd));
+          ];
+        None
+    | Some line -> (
+        match Record.feed t.rcd line with
+        | Record.Tick good -> Some good
+        | Record.Blank | Record.Header | Record.Paths _ -> next t)
 
-  (* Feed lines until one carries a tick batch; [None] = clean EOF. *)
-  let rec next c =
-    if c.closed || c.eof then None
-    else
-      match In_channel.input_line c.ic with
-      | None ->
-          c.eof <- true;
-          Obs.Events.emit "source_eof"
-            [
-              ("source", Record.origin c.rcd);
-              ("ticks", string_of_int (Record.next_tick c.rcd));
-            ];
-          None
-      | Some line -> (
-          match Record.feed c.rcd line with
-          | Record.Tick good -> Some good
-          | Record.Blank | Record.Header | Record.Paths _ -> next c)
+let close t =
+  if not t.closed then begin
+    t.closed <- true;
+    if t.owns_channel then close_in t.ic
+  end
 
-  let close c =
-    if not c.closed then begin
-      c.closed <- true;
-      if c.owns_channel then close_in c.ic
-    end
-end
+let fold t f init =
+  let rec go acc =
+    match next t with None -> acc | Some good -> go (f acc good)
+  in
+  go init
 
-let of_trace_channel ?(filename = "<channel>") ?(owns_channel = false) ic =
+let drop t n =
+  let rec go dropped =
+    if dropped >= n then dropped
+    else match next t with None -> dropped | Some _ -> go (dropped + 1)
+  in
+  go 0
+
+let of_channel ~filename ~owns_channel ic =
   let rcd = Record.create ~origin:filename () in
-  let conn = { ic; owns_channel; rcd; closed = false; eof = false } in
+  let t = { ic; owns_channel; rcd; closed = false; eof = false } in
   (* Validate the header and path count eagerly, so a wrong file fails
      at open time rather than on the first [next]. *)
   let rec eat_until_paths saw_header =
@@ -82,7 +60,9 @@ let of_trace_channel ?(filename = "<channel>") ?(owns_channel = false) ic =
     | None ->
         if saw_header then
           Record.fail rcd "truncated trace: missing 'paths <n>' line"
-        else Record.fail_at ~origin:filename ~lineno:1 "empty trace"
+        else
+          Record.fail_at ~origin:filename ~lineno:1
+            "empty trace (expected a '%s' header)" Record.header_magic
     | Some line -> (
         match Record.feed rcd line with
         | Record.Paths _ -> ()
@@ -92,75 +72,10 @@ let of_trace_channel ?(filename = "<channel>") ?(owns_channel = false) ic =
   in
   eat_until_paths false;
   Obs.Events.emit "source_open"
-    [
-      ("source", filename);
-      ("paths", string_of_int (Option.get (Record.n_paths rcd)));
-    ];
-  Source ((module Trace_source), conn)
+    [ ("source", filename); ("paths", string_of_int (n_paths t)) ];
+  t
 
 let of_trace_file path =
-  if path = "-" then of_trace_channel ~filename:"<stdin>" stdin
-  else
-    of_trace_channel ~filename:path ~owns_channel:true (open_in path)
-
-(* ------------------------------------------------------------------ *)
-(* Replaying a batch observations matrix interval by interval           *)
-(* ------------------------------------------------------------------ *)
-
-type obs_conn = { obs : Tomo.Observations.t; mutable cursor : int }
-
-module Obs_source = struct
-  type conn = obs_conn
-
-  let n_paths c = Tomo.Observations.n_paths c.obs
-
-  let next c =
-    if c.cursor >= Tomo.Observations.t_intervals c.obs then None
-    else begin
-      let good =
-        Tomo.Observations.good_paths_at c.obs ~interval:c.cursor
-      in
-      c.cursor <- c.cursor + 1;
-      Some good
-    end
-
-  let close _ = ()
-end
-
-let of_observations obs =
-  Obs.Events.emit "source_open"
-    [
-      ("source", "<observations>");
-      ("paths", string_of_int (Tomo.Observations.n_paths obs));
-    ];
-  Source ((module Obs_source), { obs; cursor = 0 })
-
-let of_observations_file path = of_observations (Tomo.Observations_io.load path)
-
-(* ------------------------------------------------------------------ *)
-(* Format sniffing: accept either replayable format by header           *)
-(* ------------------------------------------------------------------ *)
-
-let of_replay_file path =
-  if path = "-" then of_trace_file path
-  else
-    let header =
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> try input_line ic with End_of_file -> "")
-    in
-    match String.trim header with
-    | "tomo-observations v1" -> of_observations_file path
-    | "tomo-trace v1" -> of_trace_file path
-    | "" ->
-        failwith
-          (Printf.sprintf
-             "%s: empty or truncated replay file — expected a \
-              'tomo-trace v1' or 'tomo-observations v1' header"
-             path)
-    | other ->
-        Record.fail_at ~origin:path ~lineno:1
-          "unknown replay format %S (expected 'tomo-trace v1' or \
-           'tomo-observations v1')"
-          other
+  if path = "-" then
+    of_channel ~filename:"<stdin>" ~owns_channel:false stdin
+  else of_channel ~filename:path ~owns_channel:true (open_in path)

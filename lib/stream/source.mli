@@ -1,72 +1,42 @@
-(** Measurement sources: where the online engine's per-interval batches
-    come from.
+(** The replay reader: where [tomo_cli serve --replay] and
+    [batch-report] get their per-interval batches.
 
     A batch is one measurement interval's column of path statuses — a
     {!Tomo_util.Bitset.t} over paths, bit [p] set iff path [p] was
-    measured good.  Sources are abstracted behind the {!S} signature
-    (packed as a first-class module in {!t}), so the built-in replay
-    sources — a [tomo-trace v1] file/stdin stream
-    ({!Tomo_netsim.Trace_io}'s format) and an interval-by-interval
-    replay of a batch observations matrix — can later be joined by a
-    socket-backed implementation without touching the engine. *)
+    measured good.  The input is a [tomo-trace v1] stream
+    ({!Tomo_netsim.Trace_io}'s format) read line by line from a file or
+    stdin; every line goes through {!Record}, the same parser the socket
+    ingestion plane feeds frame by frame, so a malformed record gets the
+    same [file:line]-anchored [Failure] on either transport. *)
 
-(** What a source implementation provides. *)
-module type S = sig
-  type conn
-
-  val n_paths : conn -> int
-
-  (** [next conn] blocks until the next interval batch is available and
-      returns its column of path statuses; [None] means the stream ended
-      cleanly.  @raise Failure on malformed input (with a
-      [file:line]-anchored message for the replay sources). *)
-  val next : conn -> Tomo_util.Bitset.t option
-
-  val close : conn -> unit
-end
-
-(** A connected source: an implementation packed with its connection. *)
-type t = Source : (module S with type conn = 'c) * 'c -> t
-
-val n_paths : t -> int
-val next : t -> Tomo_util.Bitset.t option
-val close : t -> unit
-
-(** [fold source f init] drains the source, folding [f] over every
-    batch. *)
-val fold : t -> ('a -> Tomo_util.Bitset.t -> 'a) -> 'a -> 'a
-
-(** [drop source n] discards up to [n] batches and returns how many were
-    actually available — how a restored engine fast-forwards a replay
-    source past the intervals its snapshot already contains. *)
-val drop : t -> int -> int
-
-(** [of_trace_channel ?filename ?owns_channel ic] reads [tomo-trace v1]
-    from a channel, validating the header eagerly and each tick lazily
-    (ragged/out-of-order/garbage lines raise [Failure] anchored at
-    [filename:line]).  [owns_channel] (default [false]) closes [ic] on
-    {!close}. *)
-val of_trace_channel :
-  ?filename:string -> ?owns_channel:bool -> in_channel -> t
+type t
 
 (** [of_trace_file path] opens a [tomo-trace v1] file, or stdin when
-    [path] is ["-"]. *)
+    [path] is ["-"], and reads up to its [paths] line eagerly: an empty,
+    blank-only, truncated or alien-header file fails here, at open time,
+    with a [Failure] naming [path] and the offending line (line 1 and
+    the expected [tomo-trace v1] header when none is found).  Emits a
+    [source_open] event.
+    @raise Sys_error if the file cannot be opened. *)
 val of_trace_file : string -> t
 
-(** [of_observations obs] replays a batch observation matrix one interval
-    at a time, in time order — the bridge from archived
-    {!Tomo.Observations_io} files to the streaming engine. *)
-val of_observations : Tomo.Observations.t -> t
+(** The declared path count. *)
+val n_paths : t -> int
 
-(** [of_observations_file path] is {!of_observations} over
-    [Tomo.Observations_io.load] (sharing its [file:line]-anchored
-    diagnostics for truncated or ragged archives). *)
-val of_observations_file : string -> t
+(** [next t] blocks until the next interval batch is available and
+    returns its column of path statuses; [None] means the stream ended
+    cleanly (emitting a [source_eof] event once) or [t] was closed.
+    @raise Failure on a malformed, ragged or out-of-order tick,
+    anchored at [file:line]. *)
+val next : t -> Tomo_util.Bitset.t option
 
-(** [of_replay_file path] sniffs the header line and dispatches to
-    {!of_trace_file} ([tomo-trace v1]) or {!of_observations_file}
-    ([tomo-observations v1]); ["-"] always reads a trace from stdin.
-    An empty/truncated file or an unknown header raises [Failure]
-    naming both accepted formats — the sniffer behind
-    [tomo_cli serve --replay]. *)
-val of_replay_file : string -> t
+(** Close the underlying file (stdin is left open).  Idempotent. *)
+val close : t -> unit
+
+(** [fold t f init] drains the reader, folding [f] over every batch. *)
+val fold : t -> ('a -> Tomo_util.Bitset.t -> 'a) -> 'a -> 'a
+
+(** [drop t n] discards up to [n] batches and returns how many were
+    actually available — how a restored engine fast-forwards a replay
+    past the intervals its snapshot already contains. *)
+val drop : t -> int -> int

@@ -449,58 +449,8 @@ let test_registry_roundtrip () =
       ignore (Eqn.subset_of_var reg 99))
 
 (* ------------------------------------------------------------------ *)
-(* Observations serialization                                          *)
+(* Observations bootstrap resampling                                  *)
 (* ------------------------------------------------------------------ *)
-
-module Observations_io = Tomo.Observations_io
-
-let obs_equal a b =
-  Observations.t_intervals a = Observations.t_intervals b
-  && Observations.n_paths a = Observations.n_paths b
-  &&
-  let ok = ref true in
-  for p = 0 to Observations.n_paths a - 1 do
-    for i = 0 to Observations.t_intervals a - 1 do
-      if
-        Observations.good_in_interval a ~path:p ~interval:i
-        <> Observations.good_in_interval b ~path:p ~interval:i
-      then ok := false
-    done
-  done;
-  !ok
-
-let test_obs_io_roundtrip () =
-  let obs = busy_obs () in
-  let obs' = Observations_io.of_string (Observations_io.to_string obs) in
-  check_bool "roundtrip" true (obs_equal obs obs')
-
-let test_obs_io_file_roundtrip () =
-  let obs = busy_obs () in
-  let path = Filename.temp_file "tomo_obs" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Observations_io.save path obs;
-      check_bool "file roundtrip" true
-        (obs_equal obs (Observations_io.load path)))
-
-let test_obs_io_rejects_garbage () =
-  (try
-     ignore (Observations_io.of_string "nope");
-     Alcotest.fail "garbage accepted"
-   with Failure _ -> ());
-  (try
-     ignore
-       (Observations_io.of_string
-          "tomo-observations v1\npaths 1 intervals 3\nrow 0 10\n");
-     Alcotest.fail "short row accepted"
-   with Failure _ -> ());
-  try
-    ignore
-      (Observations_io.of_string
-         "tomo-observations v1\npaths 2 intervals 2\nrow 0 11\n");
-    Alcotest.fail "missing row accepted"
-  with Failure _ -> ()
 
 let test_obs_resample_preserves_shape () =
   let obs = busy_obs () in
@@ -585,12 +535,6 @@ let () =
         ] );
       ( "observations_io",
         [
-          Alcotest.test_case "string roundtrip" `Quick
-            test_obs_io_roundtrip;
-          Alcotest.test_case "file roundtrip" `Quick
-            test_obs_io_file_roundtrip;
-          Alcotest.test_case "rejects malformed input" `Quick
-            test_obs_io_rejects_garbage;
           Alcotest.test_case "resample shape" `Quick
             test_obs_resample_preserves_shape;
           QCheck_alcotest.to_alcotest prop_resample_frequency_stable;

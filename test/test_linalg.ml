@@ -120,7 +120,7 @@ let check_invalid_arg_with name needles f =
 
 let test_matrix_of_rows_rejections () =
   (* Both rejections carry a [file:line:] prefix naming the check site,
-     matching the Observations_io loader style. *)
+     matching the trace reader's [file:line] style. *)
   check_invalid_arg_with "empty"
     [ "matrix.ml:"; "empty row array"; "Matrix.make 0 c" ]
     (fun () -> Matrix.of_rows [||]);

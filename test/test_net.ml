@@ -639,6 +639,7 @@ let test_cli_rejects_bad_replay_inputs () =
       and short = Filename.concat dir "short.trace"
       and ragged = Filename.concat dir "ragged.trace"
       and narrow = Filename.concat dir "narrow.trace"
+      and archived = Filename.concat dir "archived.obs"
       and missing_snap = Filename.concat dir "missing.snap"
       and unwritable =
         Filename.concat (Filename.concat dir "no-such-dir") "out.report"
@@ -663,6 +664,25 @@ let test_cli_rejects_bad_replay_inputs () =
                 if i = 4 then String.sub line 0 (String.length line - 1)
                 else line)
               (String.split_on_char '\n' (read_file short))));
+      (* the short trace's intervals as an archived tomo-observations
+         matrix: the model's path count, but not the tomo-trace format *)
+      let bits =
+        List.filter_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ "tick"; _; bits ] -> Some bits
+            | _ -> None)
+          (String.split_on_char '\n' (read_file short))
+      in
+      let n_paths = String.length (List.hd bits) in
+      write archived
+        (Printf.sprintf "tomo-observations v1\npaths %d intervals %d\n"
+           n_paths (List.length bits)
+        ^ String.concat ""
+            (List.init n_paths (fun p ->
+                 Printf.sprintf "row %d %s\n" p
+                   (String.concat ""
+                      (List.map (fun b -> String.make 1 b.[p]) bits)))));
       List.iter
         (fun (cmd, args, needle) ->
           let args = (cmd :: model) @ args in
@@ -687,6 +707,8 @@ let test_cli_rejects_bad_replay_inputs () =
           ("serve", [ "--replay"; ragged; "--window"; "2" ], ragged);
           ("batch-report", [ "--replay"; narrow; "--window"; "1" ], narrow);
           ("serve", [ "--replay"; narrow; "--window"; "1" ], narrow);
+          ("batch-report", [ "--replay"; archived; "--window"; "5" ], archived);
+          ("serve", [ "--replay"; archived; "--window"; "5" ], archived);
           ( "serve",
             [ "--replay"; short; "--snapshot-in"; missing_snap ],
             missing_snap );

@@ -391,21 +391,33 @@ let test_take_roots_leaves_open_spans () =
 (* Event log                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let json_literal s =
+  let b = Buffer.create 16 in
+  Sink.json_string b s;
+  Buffer.contents b
+
 let test_event_line_golden () =
   check_string "stable JSONL shape"
     "{\"ts\":12.500000,\"event\":\"reselect\",\"tick\":\"40\"}"
     (Events.line ~ts:12.5 "reselect" [ ("tick", "40") ]);
   check_string "no attrs"
     "{\"ts\":0.000000,\"event\":\"source_eof\"}"
-    (Events.line ~ts:0.0 "source_eof" [])
+    (Events.line ~ts:0.0 "source_eof" []);
+  check_string "shared escaper: short escapes, \\u00XX for the rest"
+    "\"q\\\"b\\\\n\\nt\\tr\\r\\u0001\""
+    (json_literal "q\"b\\n\nt\tr\r\001")
 
 let event_escaping_prop =
   QCheck.Test.make ~count:500 ~name:"event lines are single balanced JSON"
     QCheck.(triple string string string)
     (fun (event, k, v) ->
       let l = Events.line ~ts:1.0 event [ (k, v) ] in
+      let lit = json_literal v in
       json_balanced l
-      && String.for_all (fun c -> Char.code c >= 0x20) l)
+      && String.for_all (fun c -> Char.code c >= 0x20) l
+      && json_balanced lit
+      && String.for_all (fun c -> Char.code c >= 0x20) lit
+      && contains ~needle:(":" ^ lit ^ "}") l)
 
 let test_event_file_round_trip () =
   let tmp = Filename.temp_file "tomo_events" ".jsonl" in

@@ -1,6 +1,6 @@
 (* Tests for the online sliding-window engine: window ring mechanics,
    snapshot round-trips (save → restore → continue must be bit-identical
-   to a run that never stopped), corruption rejection, replay-source
+   to a run that never stopped), corruption rejection, replay-reader
    diagnostics, and the headline acceptance property — windowed
    streaming estimates exactly equal the batch pipeline over the same
    intervals of a simulated Netsim trace. *)
@@ -210,7 +210,7 @@ let test_snapshot_corruption () =
       Snapshot.of_string "")
 
 (* ------------------------------------------------------------------ *)
-(* Replay sources: diagnostics and fast-forward                        *)
+(* Replay reader: diagnostics and fast-forward                         *)
 (* ------------------------------------------------------------------ *)
 
 let with_temp_file contents f =
@@ -247,58 +247,57 @@ let test_trace_source_errors () =
           check_failure_containing "out-of-order tick" (path ^ ":3")
             (fun () -> Source.next src)))
 
-(* The serve --replay sniffer: dispatch by header, and name BOTH
-   accepted formats when the file is empty, truncated, or alien. *)
+(* The replay reader accepts tomo-trace v1 only: an empty, blank-only
+   or alien-header file — an archived tomo-observations matrix included —
+   fails at open time naming the path, line 1 and the expected header. *)
 let test_replay_sniffing () =
   with_temp_file "tomo-trace v1\npaths 2\ntick 0 10\n" (fun path ->
-      let src = Source.of_replay_file path in
+      let src = Source.of_trace_file path in
       Fun.protect
         ~finally:(fun () -> Source.close src)
-        (fun () -> check_int "trace dispatch" 2 (Source.n_paths src)));
-  with_temp_file "tomo-observations v1\npaths 2 intervals 1\nrow 0 1\nrow 1 0\n"
-    (fun path ->
-      let src = Source.of_replay_file path in
-      Fun.protect
-        ~finally:(fun () -> Source.close src)
-        (fun () -> check_int "observations dispatch" 2 (Source.n_paths src)));
-  let expect_both_formats name contents =
+        (fun () -> check_int "trace opens" 2 (Source.n_paths src)));
+  let expect_rejected name contents =
     with_temp_file contents (fun path ->
-        check_failure_containing name "tomo-trace v1" (fun () ->
-            Source.of_replay_file path);
-        check_failure_containing name "tomo-observations v1" (fun () ->
-            Source.of_replay_file path);
-        check_failure_containing name path (fun () ->
-            Source.of_replay_file path))
+        List.iter
+          (fun needle ->
+            check_failure_containing name needle (fun () ->
+                Source.of_trace_file path))
+          [ path ^ ":1:"; "tomo-trace v1" ])
   in
-  expect_both_formats "empty file" "";
-  expect_both_formats "blank-only file" "\n\n";
-  expect_both_formats "alien header" "csv,of,course\n1,2,3\n"
-
-let test_observations_io_errors () =
-  (* ragged row *)
-  check_failure_containing "ragged row" "<string>:4" (fun () ->
-      Tomo.Observations_io.of_string
-        "tomo-observations v1\npaths 2 intervals 3\nrow 0 101\nrow 1 10\n");
-  (* truncated: a row short *)
-  check_failure_containing "truncated" "truncated input" (fun () ->
-      Tomo.Observations_io.of_string
-        "tomo-observations v1\npaths 2 intervals 3\nrow 0 101\n")
+  expect_rejected "empty file" "";
+  expect_rejected "blank-only file" "\n\n";
+  expect_rejected "alien header" "csv,of,course\n1,2,3\n";
+  expect_rejected "archived observations"
+    "tomo-observations v1\npaths 2 intervals 1\nrow 0 1\nrow 1 0\n"
 
 let test_source_drop () =
   let rng = Rng.create 5 in
   let n_paths = 4 and total = 8 in
   let cols = Array.init total (fun _ -> random_column rng n_paths) in
-  let obs = Tomo.Observations.create ~t_intervals:total ~n_paths in
-  Array.iteri
-    (fun i c -> Tomo.Observations.set_interval_statuses obs ~interval:i ~good:c)
-    cols;
-  let src = Source.of_observations obs in
-  check_int "drop skips what it can" 3 (Source.drop src 3);
-  (match Source.next src with
-  | Some c -> check_bool "resumes at the right interval" true (Bitset.equal c cols.(3))
-  | None -> Alcotest.fail "stream ended early");
-  check_int "drop past the end reports the shortfall" 4 (Source.drop src 10);
-  check_bool "then the stream is dry" true (Source.next src = None)
+  let trace =
+    Printf.sprintf "tomo-trace v1\npaths %d\n" n_paths
+    ^ String.concat ""
+        (List.mapi
+           (fun i c ->
+             Printf.sprintf "tick %d %s\n" i
+               (String.init n_paths (fun p ->
+                    if Bitset.get c p then '1' else '0')))
+           (Array.to_list cols))
+  in
+  with_temp_file trace (fun path ->
+      let src = Source.of_trace_file path in
+      Fun.protect
+        ~finally:(fun () -> Source.close src)
+        (fun () ->
+          check_int "drop skips what it can" 3 (Source.drop src 3);
+          (match Source.next src with
+          | Some c ->
+              check_bool "resumes at the right interval" true
+                (Bitset.equal c cols.(3))
+          | None -> Alcotest.fail "stream ended early");
+          check_int "drop past the end reports the shortfall" 4
+            (Source.drop src 10);
+          check_bool "then the stream is dry" true (Source.next src = None)))
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: streaming == batch on a simulated Netsim trace          *)
@@ -312,7 +311,7 @@ let test_streaming_equals_batch () =
          Tomo_netsim.Scenario.Random)
   in
   let model = w.W.model in
-  (* Stream the run through Trace_io text and a replay source, exactly
+  (* Stream the run through Trace_io text and the replay reader, exactly
      as `tomo_cli serve --replay` would. *)
   let last =
     with_temp_file (Tomo_netsim.Trace_io.to_string w.W.run) (fun path ->
@@ -445,8 +444,6 @@ let () =
             test_trace_source_errors;
           Alcotest.test_case "replay format sniffing" `Quick
             test_replay_sniffing;
-          Alcotest.test_case "observations diagnostics" `Quick
-            test_observations_io_errors;
           Alcotest.test_case "drop fast-forward" `Quick test_source_drop;
         ] );
       ( "acceptance",
